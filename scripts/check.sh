@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrency layer plus the bench regression gate.
 # Sanitizer runs build the executor, fault-injection, streaming, ingest/WAL,
-# and trace tests under ThreadSanitizer and AddressSanitizer and fail on any
-# report
+# trace and routing tests under ThreadSanitizer, AddressSanitizer and
+# UndefinedBehaviorSanitizer and fail on any report
 # (multi-producer StreamBuffer ingestion and the trace ring are exactly
-# where TSan earns its keep). Run from anywhere; builds land in build-tsan/
-# and build-asan/ next to the normal build/.
+# where TSan earns its keep). Run from anywhere; builds land in build-tsan/,
+# build-asan/ and build-ubsan/ next to the normal build/.
 #
-#   scripts/check.sh              # both sanitizers
+#   scripts/check.sh              # all three sanitizers
 #   scripts/check.sh thread       # TSan only
 #   scripts/check.sh address      # ASan only
+#   scripts/check.sh undefined    # UBSan only
 #   scripts/check.sh bench-smoke  # BENCH_*.json schema + >20% throughput
 #                                 # regression gate vs bench/baselines/
 set -euo pipefail
@@ -22,18 +23,23 @@ fi
 
 SANITIZERS=("${@:-thread}" )
 if [[ $# -eq 0 ]]; then
-  SANITIZERS=(thread address)
+  SANITIZERS=(thread address undefined)
 fi
 
 GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              stream_test series_view_test obs_test serve_test
              serve_trace_test health_test ingest_wal_test tick_parser_test
              net_wire_test net_test shard_test shard_equivalence_test
-             load_test flight_recorder_test debug_endpoint_test)
+             load_test flight_recorder_test debug_endpoint_test
+             spatial_test k_shortest_paths_test)
 
 for SAN in "${SANITIZERS[@]}"; do
-  BUILD="$ROOT/build-${SAN/thread/tsan}"
-  BUILD="${BUILD/address/asan}"
+  case "$SAN" in
+    thread) BUILD="$ROOT/build-tsan" ;;
+    address) BUILD="$ROOT/build-asan" ;;
+    undefined) BUILD="$ROOT/build-ubsan" ;;
+    *) echo "unknown sanitizer: $SAN" >&2; exit 2 ;;
+  esac
   echo "==== TSDM_SANITIZE=$SAN -> $BUILD ===="
   cmake -B "$BUILD" -S "$ROOT" -DTSDM_SANITIZE="$SAN" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null

@@ -32,7 +32,7 @@ void SleepUntilDue(double at_seconds, double speed, uint64_t start_ns) {
   // sleeps on answers — a system falling behind keeps receiving load.
   const double due_s = at_seconds / speed;
   const double elapsed_s =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - start_ns);
+      1e-9 * static_cast<double>(ElapsedNs(TraceRecorder::NowNs(), start_ns));
   if (due_s > elapsed_s) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(due_s - elapsed_s));
@@ -108,7 +108,7 @@ Result<TraceReplayer::Report> TraceReplayer::Replay(
     state->done_cv.wait(lock, [&] { return state->outstanding == 0; });
   }
   report.wall_seconds =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - start_ns);
+      1e-9 * static_cast<double>(ElapsedNs(TraceRecorder::NowNs(), start_ns));
   report.answered_ok = state->answered_ok;
   report.answered_error = state->answered_error;
   for (const auto& [tenant, counts] : state->tenant_answered) {
@@ -158,7 +158,7 @@ Result<TraceReplayer::Report> TraceReplayer::ReplayWire(
     }
   }
   report.wall_seconds =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - start_ns);
+      1e-9 * static_cast<double>(ElapsedNs(TraceRecorder::NowNs(), start_ns));
   return report;
 }
 

@@ -45,6 +45,8 @@ NetClient& NetClient::operator=(NetClient&& other) noexcept {
     next_request_id_ = other.next_request_id_;
     parser_ = std::move(other.parser_);
     pending_ = std::move(other.pending_);
+    pending_head_ = other.pending_head_;
+    other.pending_head_ = 0;
   }
   return *this;
 }
@@ -76,6 +78,7 @@ void NetClient::Close() {
     fd_ = -1;
   }
   pending_.clear();
+  pending_head_ = 0;
 }
 
 Status NetClient::SendRaw(const uint8_t* data, size_t size) {
@@ -85,7 +88,9 @@ Status NetClient::SendRaw(const uint8_t* data, size_t size) {
 
 Status NetClient::ReceiveFrame(NetFrame* out) {
   if (fd_ < 0) return Status::FailedPrecondition("net client: not connected");
-  while (pending_.empty()) {
+  while (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
     uint8_t buf[16 * 1024];
     const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -98,8 +103,7 @@ Status NetClient::ReceiveFrame(NetFrame* out) {
     if (errno == EINTR) continue;
     return Errno("recv");
   }
-  *out = std::move(pending_.front());
-  pending_.erase(pending_.begin());
+  *out = std::move(pending_[pending_head_++]);
   return Status::OK();
 }
 

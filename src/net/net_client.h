@@ -90,7 +90,11 @@ class NetClient {
   int fd_ = -1;
   uint64_t next_request_id_ = 1;
   FrameParser parser_;
-  std::vector<NetFrame> pending_;  ///< frames parsed ahead of consumption
+  /// Frames parsed ahead of consumption; [pending_head_, size) are unread.
+  /// Advancing a head index instead of erasing the front keeps a pipelined
+  /// burst linear in its frame count.
+  std::vector<NetFrame> pending_;
+  size_t pending_head_ = 0;
 };
 
 }  // namespace tsdm

@@ -537,7 +537,7 @@ void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
     return;
   }
   if (options_.admission_deadline_seconds > 0.0 &&
-      static_cast<double>(now_ns - start_ns) * 1e-9 >
+      static_cast<double>(ElapsedNs(now_ns, start_ns)) * 1e-9 >
           options_.admission_deadline_seconds) {
     reject(Status::ResourceExhausted(
                "net: admission deadline exceeded before parse"),

@@ -191,6 +191,14 @@ class TraceRecorder {
   static std::atomic<bool> enabled_;
 };
 
+/// `now - then` in ns, or 0 when `then` is later. Timestamps taken on
+/// different threads can arrive out of order (a clock sampled before a lock
+/// compared against one stamped by another thread under it), and a raw
+/// uint64_t difference would wrap to ~584 years.
+inline uint64_t ElapsedNs(uint64_t now, uint64_t then) {
+  return now > then ? now - then : 0;
+}
+
 /// RAII span: names the enclosing scope in the trace. Construction samples
 /// the clock only when the recorder is enabled; destruction hands the
 /// closed span to the calling thread's buffer. Spans on one thread nest

@@ -23,7 +23,7 @@ void MicroBatcher::FlushExpired(
   for (auto it = groups_.begin(); it != groups_.end();) {
     // The front request is the oldest: groups are append-only FIFO.
     const uint64_t oldest = it->second.front().enqueue_ns;
-    if (static_cast<double>(now_ns - oldest) >= budget_ns) {
+    if (static_cast<double>(ElapsedNs(now_ns, oldest)) >= budget_ns) {
       std::vector<ServeRequest> batch = std::move(it->second);
       it = groups_.erase(it);
       Dispatch(std::move(batch), ready);

@@ -364,7 +364,7 @@ void QueryServer::ServeOne(const ServeRequest& req) {
     bool from_cache = false;
     Result<Histogram> seg =
         cost_model_.SegmentCost(req.probe_edges, req.probe_bucket, &from_cache);
-    cache_ns = TraceRecorder::NowNs() - cost_start_ns;
+    cache_ns = ElapsedNs(TraceRecorder::NowNs(), cost_start_ns);
     if (seg.ok()) {
       answer.probe_cost = std::move(seg).value();
       answer.probe_from_cache = from_cache;
@@ -388,7 +388,7 @@ void QueryServer::ServeOne(const ServeRequest& req) {
         costs.push_back(
             cost_model_.Query(route.edges, q.depart_seconds, exec_ctx));
       }
-      cache_ns = TraceRecorder::NowNs() - cost_start_ns;
+      cache_ns = ElapsedNs(TraceRecorder::NowNs(), cost_start_ns);
       ScoreCandidates(q, *routes, costs, &answer);
     }
   }
@@ -444,7 +444,10 @@ void QueryServer::ServeOne(const ServeRequest& req) {
 void QueryServer::MaybeAutoscale(uint64_t now_ns) {
   if (!options_.autoscale_enabled) return;
   const double interval_ns = options_.autoscale_interval_seconds * 1e9;
-  if (static_cast<double>(now_ns - last_autoscale_ns_) < interval_ns) return;
+  if (static_cast<double>(ElapsedNs(now_ns, last_autoscale_ns_)) <
+      interval_ns) {
+    return;
+  }
   last_autoscale_ns_ = now_ns;
   // Demand = everything submitted, shed included: admission control must
   // not hide overload from the forecaster, or shedding would lock the

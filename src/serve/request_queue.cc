@@ -26,10 +26,9 @@ void AnswerShed(const ServeRequest& req, Status status) {
   answer.status = std::move(status);
   answer.client_request_id = req.client_request_id;
   answer.tenant_id = req.tenant;
-  answer.queue_seconds = 1e-9 * static_cast<double>(now_ns - req.enqueue_ns);
-  answer.stages.queue_ns = now_ns >= req.enqueue_ns
-                               ? now_ns - req.enqueue_ns
-                               : 0;  // all of a shed request's time is queue
+  // All of a shed request's time is queue time.
+  answer.stages.queue_ns = ElapsedNs(now_ns, req.enqueue_ns);
+  answer.queue_seconds = 1e-9 * static_cast<double>(answer.stages.queue_ns);
   // Flight-recorder completion: expired/drained/displaced requests are
   // exactly the tail evidence retroactive retention exists for. Probes are
   // excluded — their caller's completion is the shard router's merge.
@@ -41,7 +40,7 @@ void AnswerShed(const ServeRequest& req, Status status) {
 
 bool Expired(const ServeRequest& req, uint64_t now_ns) {
   if (req.queue_budget_seconds <= 0.0) return false;
-  return static_cast<double>(now_ns - req.enqueue_ns) >
+  return static_cast<double>(ElapsedNs(now_ns, req.enqueue_ns)) >
          req.queue_budget_seconds * 1e9;
 }
 
@@ -171,6 +170,11 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
   const size_t first_new = out->size();
   {
     std::unique_lock<std::mutex> lock(mu_);
+    // The caller sampled `now_ns` before taking the lock; a request pushed
+    // in between carries a later enqueue stamp. Re-reading the clock under
+    // the lock makes every queued request's enqueue_ns <= now_ns, so it is
+    // neither judged expired nor given a dequeue before its enqueue.
+    now_ns = std::max(now_ns, TraceRecorder::NowNs());
     // Deficit round-robin: each sweep credits every backlogged tenant
     // quantum * weight and drains while its deficit covers unit-cost pops.
     // Sweeps repeat until the request budget or the backlog is exhausted —

@@ -197,8 +197,10 @@ class RequestQueue {
   /// returns.
   Status Push(ServeRequest req);
 
-  /// Pops up to `max_n` unexpired requests (as of `now_ns`) by deficit
-  /// round-robin across tenants, appending to *out. Expired requests
+  /// Pops up to `max_n` unexpired requests by deficit round-robin across
+  /// tenants, appending to *out. Expiry and dequeue_ns use the later of
+  /// `now_ns` and the clock read under the queue lock, so a stale caller
+  /// sample never predates a queued request's enqueue_ns. Expired requests
   /// encountered on the way are shed: counted, and their callback fired
   /// with a ResourceExhausted answer. Returns the number of live requests
   /// delivered. Non-blocking.

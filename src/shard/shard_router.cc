@@ -256,8 +256,8 @@ void ShardRouter::Scatter(RouteQuery query,
     answer.client_request_id = options.client_request_id;
     answer.tenant_id =
         options.tenant_id.empty() ? "default" : options.tenant_id;
-    answer.service_seconds =
-        1e-9 * static_cast<double>(TraceRecorder::NowNs() - submit_ns);
+    const uint64_t elapsed_ns = ElapsedNs(TraceRecorder::NowNs(), submit_ns);
+    answer.service_seconds = 1e-9 * static_cast<double>(elapsed_ns);
     FlightRecorder::MaybeComplete(root_ctx.request_id, -1, answer);
     cb(answer);
     outstanding_scatters_.fetch_sub(1, std::memory_order_acq_rel);
@@ -486,8 +486,9 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
     stats_.replicated += replicated;
   }
 
-  answer.service_seconds =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - state->submit_ns);
+  const uint64_t elapsed_ns =
+      ElapsedNs(TraceRecorder::NowNs(), state->submit_ns);
+  answer.service_seconds = 1e-9 * static_cast<double>(elapsed_ns);
   TraceRecorder::Global().RecordSpan("shard/merge", merge_start,
                                      TraceRecorder::NowNs(),
                                      state->scatter_ctx,

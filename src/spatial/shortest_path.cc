@@ -1,10 +1,10 @@
 #include "src/spatial/shortest_path.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
-#include <queue>
 #include <set>
+#include <string>
 
 namespace tsdm {
 
@@ -20,66 +20,141 @@ struct QueueEntry {
   }
 };
 
-using MinQueue =
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>;
+constexpr auto kZeroPotential = [](int) { return 0.0; };
 
-Result<Path> ReconstructPath(const RoadNetwork& network, int source,
-                             int target, const std::vector<int>& parent_edge,
-                             const std::vector<double>& dist) {
-  if (dist[target] == kInf) {
-    return Status::NotFound("no path from " + std::to_string(source) +
-                            " to " + std::to_string(target));
+Status CheckNodes(const RoadNetwork& network, int source, int target,
+                  const char* who) {
+  const int n = static_cast<int>(network.NumNodes());
+  if (source < 0 || target < 0 || source >= n || target >= n) {
+    return Status::OutOfRange(std::string(who) + ": node id out of range");
   }
-  Path path;
-  path.cost = dist[target];
-  int node = target;
-  while (node != source) {
-    int eid = parent_edge[node];
-    path.edges.push_back(eid);
-    path.nodes.push_back(node);
-    node = network.edge(eid).from;
-  }
-  path.nodes.push_back(source);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
+  return Status::OK();
 }
 
-/// Dijkstra supporting removed nodes/edges (for Yen's spur computation).
-Result<Path> DijkstraWithBans(const RoadNetwork& network, int source,
-                              int target, const EdgeCostFn& cost,
-                              const std::set<int>& banned_nodes,
-                              const std::set<int>& banned_edges) {
-  size_t n = network.NumNodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<int> parent_edge(n, -1);
-  std::vector<bool> settled(n, false);
-  MinQueue queue;
-  dist[source] = 0.0;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    auto [priority, node] = queue.top();
-    queue.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    if (node == target) break;
-    for (int eid : network.OutEdges(node)) {
-      if (banned_edges.count(eid) > 0) continue;
-      int to = network.edge(eid).to;
-      if (banned_nodes.count(to) > 0 || settled[to]) continue;
-      double c = cost(eid);
-      if (c < 0.0) c = 0.0;
-      double candidate = dist[node] + c;
-      if (candidate < dist[to]) {
-        dist[to] = candidate;
-        parent_edge[to] = eid;
-        queue.push({candidate, to});
+/// The one label-setting search behind ShortestPath, AStarPath,
+/// ShortestPathTree and every Yen spur. Edge costs are clamped to >= 0 once
+/// up front. Bans and per-search labels are epoch stamps, so forgetting them
+/// between spur searches is one increment, and the label and heap buffers
+/// are reused rather than reallocated per search.
+class SearchKernel {
+ public:
+  SearchKernel(const RoadNetwork& network, const EdgeCostFn& cost)
+      : network_(network),
+        weight_(network.NumEdges()),
+        edge_ban_(network.NumEdges(), 0),
+        node_ban_(network.NumNodes(), 0),
+        reached_(network.NumNodes(), 0),
+        settled_(network.NumNodes(), 0),
+        dist_(network.NumNodes(), kInf),
+        parent_edge_(network.NumNodes(), -1) {
+    for (size_t e = 0; e < weight_.size(); ++e) {
+      weight_[e] = std::max(0.0, cost(static_cast<int>(e)));
+    }
+  }
+
+  double weight(int eid) const { return weight_[eid]; }
+
+  /// Lifts every ban set since the previous call.
+  void ClearBans() { ++ban_epoch_; }
+  void BanNode(int node) { node_ban_[node] = ban_epoch_; }
+  void BanEdge(int eid) { edge_ban_[eid] = ban_epoch_; }
+
+  /// Best path from `source` to `target` avoiding the current bans, ordered
+  /// by g + h. `h` must be consistent; nodes with h == inf are pruned.
+  template <typename Potential>
+  Result<Path> Search(int source, int target, const Potential& h) {
+    Run<false>(source, target, h);
+    if (!Reached(target)) {
+      return Status::NotFound("no path from " + std::to_string(source) +
+                              " to " + std::to_string(target));
+    }
+    Path path;
+    path.cost = dist_[target];
+    for (int node = target; node != source;) {
+      const int eid = parent_edge_[node];
+      path.edges.push_back(eid);
+      path.nodes.push_back(node);
+      node = network_.edge(eid).from;
+    }
+    path.nodes.push_back(source);
+    std::reverse(path.nodes.begin(), path.nodes.end());
+    std::reverse(path.edges.begin(), path.edges.end());
+    return path;
+  }
+
+  /// Distances from `root` to every node (`reverse`: from every node to
+  /// `root`, over InEdges), inf where unreachable. Ignores bans.
+  std::vector<double> Tree(int root, bool reverse) {
+    ClearBans();
+    if (reverse) {
+      Run<true>(root, -1, kZeroPotential);
+    } else {
+      Run<false>(root, -1, kZeroPotential);
+    }
+    std::vector<double> dist(network_.NumNodes(), kInf);
+    for (size_t v = 0; v < dist.size(); ++v) {
+      if (Reached(static_cast<int>(v))) dist[v] = dist_[v];
+    }
+    return dist;
+  }
+
+ private:
+  bool Reached(int node) const { return reached_[node] == search_epoch_; }
+
+  /// Lazy-deletion A*; stops once `target` settles (target -1: never).
+  template <bool kReverse, typename Potential>
+  void Run(int source, int target, const Potential& h) {
+    ++search_epoch_;
+    heap_.clear();
+    reached_[source] = search_epoch_;
+    dist_[source] = 0.0;
+    Push(h(source), source);
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+      const int node = heap_.back().node;
+      heap_.pop_back();
+      if (settled_[node] == search_epoch_) continue;
+      settled_[node] = search_epoch_;
+      if (node == target) break;
+      const std::vector<int>& edges =
+          kReverse ? network_.InEdges(node) : network_.OutEdges(node);
+      for (int eid : edges) {
+        if (edge_ban_[eid] == ban_epoch_) continue;
+        const RoadNetwork::Edge& edge = network_.edge(eid);
+        const int to = kReverse ? edge.from : edge.to;
+        if (node_ban_[to] == ban_epoch_ || settled_[to] == search_epoch_) {
+          continue;
+        }
+        const double candidate = dist_[node] + weight_[eid];
+        if (candidate < (Reached(to) ? dist_[to] : kInf)) {
+          const double potential = h(to);
+          if (potential == kInf) continue;  // `to` cannot reach the target
+          reached_[to] = search_epoch_;
+          dist_[to] = candidate;
+          parent_edge_[to] = eid;
+          Push(candidate + potential, to);
+        }
       }
     }
   }
-  return ReconstructPath(network, source, target, parent_edge, dist);
-}
+
+  void Push(double priority, int node) {
+    heap_.push_back({priority, node});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+  }
+
+  const RoadNetwork& network_;
+  std::vector<double> weight_;      ///< clamped edge costs
+  std::vector<uint32_t> edge_ban_;  ///< == ban_epoch_: edge removed
+  std::vector<uint32_t> node_ban_;  ///< == ban_epoch_: node removed
+  std::vector<uint32_t> reached_;   ///< == search_epoch_: dist_ is valid
+  std::vector<uint32_t> settled_;   ///< == search_epoch_: dist_ is final
+  std::vector<double> dist_;
+  std::vector<int> parent_edge_;
+  std::vector<QueueEntry> heap_;  ///< min-heap on priority
+  uint32_t ban_epoch_ = 1;
+  uint32_t search_epoch_ = 0;
+};
 
 }  // namespace
 
@@ -93,38 +168,13 @@ EdgeCostFn LengthCost(const RoadNetwork& network) {
 
 Result<Path> ShortestPath(const RoadNetwork& network, int source, int target,
                           const EdgeCostFn& cost) {
-  if (source < 0 || target < 0 ||
-      source >= static_cast<int>(network.NumNodes()) ||
-      target >= static_cast<int>(network.NumNodes())) {
-    return Status::OutOfRange("ShortestPath: node id out of range");
-  }
-  return DijkstraWithBans(network, source, target, cost, {}, {});
+  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "ShortestPath"));
+  return SearchKernel(network, cost).Search(source, target, kZeroPotential);
 }
 
 std::vector<double> ShortestPathTree(const RoadNetwork& network, int source,
                                      const EdgeCostFn& cost) {
-  size_t n = network.NumNodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<bool> settled(n, false);
-  MinQueue queue;
-  dist[source] = 0.0;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    auto [priority, node] = queue.top();
-    queue.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    for (int eid : network.OutEdges(node)) {
-      int to = network.edge(eid).to;
-      if (settled[to]) continue;
-      double candidate = dist[node] + std::max(0.0, cost(eid));
-      if (candidate < dist[to]) {
-        dist[to] = candidate;
-        queue.push({candidate, to});
-      }
-    }
-  }
-  return dist;
+  return SearchKernel(network, cost).Tree(source, /*reverse=*/false);
 }
 
 Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
@@ -132,93 +182,78 @@ Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
   if (max_speed <= 0.0) {
     return Status::InvalidArgument("AStarPath: max_speed must be positive");
   }
-  size_t n = network.NumNodes();
-  auto heuristic = [&](int node) {
+  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "AStarPath"));
+  return SearchKernel(network, cost).Search(source, target, [&](int node) {
     return network.NodeDistance(node, target) / max_speed;
-  };
-  std::vector<double> dist(n, kInf);
-  std::vector<int> parent_edge(n, -1);
-  std::vector<bool> settled(n, false);
-  MinQueue queue;
-  dist[source] = 0.0;
-  queue.push({heuristic(source), source});
-  while (!queue.empty()) {
-    auto [priority, node] = queue.top();
-    queue.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    if (node == target) break;
-    for (int eid : network.OutEdges(node)) {
-      int to = network.edge(eid).to;
-      if (settled[to]) continue;
-      double candidate = dist[node] + std::max(0.0, cost(eid));
-      if (candidate < dist[to]) {
-        dist[to] = candidate;
-        parent_edge[to] = eid;
-        queue.push({candidate + heuristic(to), to});
-      }
-    }
-  }
-  return ReconstructPath(network, source, target, parent_edge, dist);
+  });
 }
 
 Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
                                          int source, int target, int k,
                                          const EdgeCostFn& cost) {
   if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
-  Result<Path> first = ShortestPath(network, source, target, cost);
+  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "KShortestPaths"));
+  SearchKernel kernel(network, cost);
+  // Exact free-graph distance to the target. Bans only remove edges, so it
+  // stays a consistent A* potential for every spur search.
+  const std::vector<double> to_target = kernel.Tree(target, /*reverse=*/true);
+  const auto potential = [&to_target](int node) { return to_target[node]; };
+  Result<Path> first = kernel.Search(source, target, potential);
   if (!first.ok()) return first.status();
 
+  // Each accepted path remembers the index where it left its parent;
+  // spurring before that index only rediscovers known paths (Lawler).
+  struct Candidate {
+    Path path;
+    size_t deviation;
+  };
   std::vector<Path> result = {*first};
+  std::vector<size_t> deviation = {0};
   // Candidate paths ordered by cost; compare node sequences for dedup.
-  auto path_less = [](const Path& a, const Path& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.nodes < b.nodes;
+  auto candidate_less = [](const Candidate& a, const Candidate& b) {
+    if (a.path.cost != b.path.cost) return a.path.cost < b.path.cost;
+    return a.path.nodes < b.path.nodes;
   };
   std::set<std::vector<int>> known = {first->nodes};
-  std::vector<Path> candidates;
+  std::vector<Candidate> candidates;
 
   for (int ki = 1; ki < k; ++ki) {
     const Path& prev = result.back();
     // Each node of the previous path (except the last) is a spur node.
-    for (size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      int spur_node = prev.nodes[i];
-      std::vector<int> root_nodes(prev.nodes.begin(),
-                                  prev.nodes.begin() + i + 1);
-      std::set<int> banned_edges;
-      std::set<int> banned_nodes;
-      // Ban edges that would recreate an already-known path sharing the root.
+    for (size_t i = deviation.back(); i + 1 < prev.nodes.size(); ++i) {
+      kernel.ClearBans();
+      // Ban edges that would recreate an already-known path sharing the
+      // root prev.nodes[0..i].
       for (const Path& p : result) {
-        if (p.nodes.size() > i &&
-            std::equal(root_nodes.begin(), root_nodes.end(),
+        if (p.edges.size() > i &&
+            std::equal(prev.nodes.begin(), prev.nodes.begin() + i + 1,
                        p.nodes.begin())) {
-          if (i < p.edges.size()) banned_edges.insert(p.edges[i]);
+          kernel.BanEdge(p.edges[i]);
         }
       }
       // Ban root nodes except the spur node to keep paths loopless.
-      for (size_t j = 0; j < i; ++j) banned_nodes.insert(prev.nodes[j]);
+      for (size_t j = 0; j < i; ++j) kernel.BanNode(prev.nodes[j]);
 
-      Result<Path> spur = DijkstraWithBans(network, spur_node, target, cost,
-                                           banned_nodes, banned_edges);
+      Result<Path> spur = kernel.Search(prev.nodes[i], target, potential);
       if (!spur.ok()) continue;
 
-      Path total;
-      total.nodes = root_nodes;
-      total.nodes.insert(total.nodes.end(), spur->nodes.begin() + 1,
-                         spur->nodes.end());
-      total.edges.assign(prev.edges.begin(), prev.edges.begin() + i);
-      total.edges.insert(total.edges.end(), spur->edges.begin(),
-                         spur->edges.end());
-      total.cost = 0.0;
-      for (int eid : total.edges) total.cost += std::max(0.0, cost(eid));
-      if (known.insert(total.nodes).second) {
+      Candidate total{Path(), i};
+      total.path.nodes.assign(prev.nodes.begin(), prev.nodes.begin() + i);
+      total.path.nodes.insert(total.path.nodes.end(), spur->nodes.begin(),
+                              spur->nodes.end());
+      total.path.edges.assign(prev.edges.begin(), prev.edges.begin() + i);
+      total.path.edges.insert(total.path.edges.end(), spur->edges.begin(),
+                              spur->edges.end());
+      for (int eid : total.path.edges) total.path.cost += kernel.weight(eid);
+      if (known.insert(total.path.nodes).second) {
         candidates.push_back(std::move(total));
       }
     }
     if (candidates.empty()) break;
     auto best = std::min_element(candidates.begin(), candidates.end(),
-                                 path_less);
-    result.push_back(*best);
+                                 candidate_less);
+    result.push_back(std::move(best->path));
+    deviation.push_back(best->deviation);
     candidates.erase(best);
   }
   return result;

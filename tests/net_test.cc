@@ -640,6 +640,26 @@ TEST(SocketServerTest, ConcurrentClientsAllAnswered) {
   serve.Stop();
 }
 
+/// Listens on an ephemeral loopback port for an in-test wire peer. Returns
+/// the listening fd (-1 on failure) and stores the port in *port.
+int ListenOnLoopback(uint16_t* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t addr_len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 1) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
 TEST(NetClientTest, PipelinedAnswersMatchByIdUnderOutOfOrderDelivery) {
   // An in-test wire server that holds a pipelined burst and answers it in
   // REVERSE order, each answer carrying a cost derived from its query's
@@ -647,21 +667,9 @@ TEST(NetClientTest, PipelinedAnswersMatchByIdUnderOutOfOrderDelivery) {
   // that earned it — receive order is explicitly not submission order on
   // a pipelined connection (a shard fleet makes this the common case).
   constexpr int kBurst = 8;
-  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  uint16_t port = 0;
+  const int listen_fd = ListenOnLoopback(&port);
   ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                          &addr_len),
-            0);
-  const uint16_t port = ntohs(addr.sin_port);
 
   std::thread server([listen_fd] {
     int conn = ::accept(listen_fd, nullptr, nullptr);
@@ -733,6 +741,50 @@ TEST(NetClientTest, PipelinedAnswersMatchByIdUnderOutOfOrderDelivery) {
     sent_ids[index] = 0;  // each id answered exactly once
   }
   for (uint64_t id : sent_ids) EXPECT_EQ(id, 0u);
+
+  client.Close();
+  server.join();
+  ::close(listen_fd);
+}
+
+TEST(NetClientTest, PipelinedBurstOf10kFramesArrivesCompleteAndInOrder) {
+  // A server that writes 10,000 frames in one burst: the client parses
+  // hundreds per recv and must hand back every one, in wire order, without
+  // losing frames parsed ahead of consumption.
+  constexpr uint64_t kFrames = 10000;
+  uint16_t port = 0;
+  const int listen_fd = ListenOnLoopback(&port);
+  ASSERT_GE(listen_fd, 0);
+
+  std::thread server([listen_fd] {
+    int conn = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(conn, 0);
+    std::vector<uint8_t> out;
+    for (uint64_t id = 1; id <= kFrames; ++id) {
+      const uint8_t marker = static_cast<uint8_t>(id);
+      EncodeNetFrame(id, NetOpcode::kPong, &marker, 1, &out);
+    }
+    size_t off = 0;
+    while (off < out.size()) {
+      ssize_t n = ::write(conn, out.data() + off, out.size() - off);
+      if (n <= 0) break;
+      off += static_cast<size_t>(n);
+    }
+    ::close(conn);
+  });
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kLoopback, port).ok());
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    NetFrame frame;
+    Status st = client.ReceiveFrame(&frame);
+    ASSERT_TRUE(st.ok()) << "frame " << id << ": " << st.ToString();
+    ASSERT_EQ(frame.request_id, id);
+    ASSERT_EQ(frame.opcode, static_cast<uint8_t>(NetOpcode::kPong));
+    ASSERT_EQ(frame.payload, std::vector<uint8_t>{static_cast<uint8_t>(id)});
+  }
+  NetFrame extra;
+  EXPECT_EQ(client.ReceiveFrame(&extra).code(), StatusCode::kDataLoss);
 
   client.Close();
   server.join();

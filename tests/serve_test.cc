@@ -88,6 +88,26 @@ TEST(RequestQueueTest, ZeroBudgetMeansNoExpiry) {
   EXPECT_EQ(queue.PopBatch(much_later, 10, &out), 1u);
 }
 
+TEST(RequestQueueTest, StaleCallerClockNeitherShedsNorMistimes) {
+  // A dispatcher samples its clock before PopBatch takes the queue lock, so
+  // a request admitted in that gap is stamped after the caller's now_ns. It
+  // must be delivered, not shed as expired by a wrapped uint64_t age, and
+  // its queue wait must not end before it starts.
+  RequestQueue queue;
+  bool shed = false;
+  ServeRequest req = MakeRequest(1, 0, /*budget_seconds=*/30.0);
+  req.on_done = [&shed](const RouteAnswer&) { shed = true; };
+  ASSERT_GT(req.enqueue_ns, 0u);
+  const uint64_t stale_now = req.enqueue_ns / 2;
+  ASSERT_TRUE(queue.Push(std::move(req)).ok());
+  std::vector<ServeRequest> out;
+  EXPECT_EQ(queue.PopBatch(stale_now, 10, &out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_GE(out[0].dequeue_ns, out[0].enqueue_ns);
+  EXPECT_FALSE(shed);
+  EXPECT_EQ(queue.GetStats().shed_expired, 0u);
+}
+
 TEST(RequestQueueTest, CloseDrainsAndRejects) {
   RequestQueue queue;
   std::atomic<int> drained{0};
@@ -186,6 +206,24 @@ TEST(MicroBatcherTest, FlushExpiredFiresAtExactDeadline) {
   batcher.FlushExpired(deadline, &ready);  // exact equality flushes
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(batcher.pending(), 0u);
+}
+
+TEST(MicroBatcherTest, ClockBeforeOldestEnqueueDoesNotFlush) {
+  // A clock sampled before the oldest member was enqueued means an age of
+  // zero, not a wrapped uint64_t age that flushes before the linger is up.
+  MicroBatcher::Options opts;
+  opts.max_batch = 100;
+  opts.max_wait_seconds = 0.002;
+  MicroBatcher batcher(opts);
+  std::vector<std::vector<ServeRequest>> ready;
+
+  const uint64_t t0 = 1000000000ull;
+  ServeRequest req = MakeRequest(1);
+  req.enqueue_ns = t0;
+  batcher.Add(std::move(req), &ready);
+  batcher.FlushExpired(t0 - 1000, &ready);
+  EXPECT_TRUE(ready.empty());
+  EXPECT_EQ(batcher.pending(), 1u);
 }
 
 TEST(MicroBatcherTest, SingleRequestBatchIsFlushedByAgeAlone) {
