@@ -48,5 +48,13 @@ for SAN in "${SANITIZERS[@]}"; do
     echo "---- $SAN: $TEST ----"
     "$BUILD/tests/$TEST"
   done
+  if [[ "$SAN" == thread ]]; then
+    # The serving core's workers, queue and autoscale review race by design;
+    # one clean run can hide a race, so TSan gets three more of each.
+    for TEST in serve_test serve_trace_test load_test; do
+      echo "---- $SAN: $TEST x3 ----"
+      "$BUILD/tests/$TEST" --gtest_repeat=3
+    done
+  fi
 done
 echo "==== sanitizer checks passed ===="

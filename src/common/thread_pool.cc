@@ -11,12 +11,10 @@ thread_local int t_worker_id = -1;
 
 ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(1, num_threads);
-  target_ = n;
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  size_.store(n, std::memory_order_relaxed);
 }
 
 ThreadPool::~ThreadPool() {
@@ -26,29 +24,6 @@ ThreadPool::~ThreadPool() {
   }
   task_available_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::Resize(int num_threads) {
-  int n = std::max(1, num_threads);
-  std::vector<std::thread> retired;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutting_down_ || n == static_cast<int>(workers_.size())) return;
-    target_ = n;
-    if (n < static_cast<int>(workers_.size())) {
-      for (size_t i = static_cast<size_t>(n); i < workers_.size(); ++i) {
-        retired.push_back(std::move(workers_[i]));
-      }
-      workers_.resize(static_cast<size_t>(n));
-    } else {
-      for (int i = static_cast<int>(workers_.size()); i < n; ++i) {
-        workers_.emplace_back([this, i] { WorkerLoop(i); });
-      }
-    }
-    size_.store(n, std::memory_order_relaxed);
-  }
-  task_available_.notify_all();
-  for (auto& w : retired) w.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -73,10 +48,8 @@ void ThreadPool::WorkerLoop(int worker_id) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      task_available_.wait(lock, [this, worker_id] {
-        return shutting_down_ || worker_id >= target_ || !queue_.empty();
-      });
-      if (worker_id >= target_ && !shutting_down_) return;  // retired
+      task_available_.wait(
+          lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting down and drained
       task = std::move(queue_.front());
       queue_.pop_front();

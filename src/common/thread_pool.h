@@ -1,7 +1,6 @@
 #ifndef TSDM_COMMON_THREAD_POOL_H_
 #define TSDM_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -29,18 +28,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int NumThreads() const { return size_.load(std::memory_order_relaxed); }
-
-  /// Grows or shrinks the pool to `num_threads` workers (clamped to >= 1).
-  /// Growing spawns fresh workers; shrinking retires the highest worker
-  /// ids and joins them before returning, so worker ids stay dense in
-  /// [0, NumThreads()) and CurrentWorkerId slots are never reused while
-  /// their old owner is alive. A retiring worker finishes the task it is
-  /// executing; tasks it leaves queued are drained by the survivors.
-  /// Safe against concurrent Submit/Wait from any thread, but Resize
-  /// itself must come from a single control thread (the autoscale
-  /// controller) and must not race with destruction.
-  void Resize(int num_threads);
+  int NumThreads() const { return static_cast<int>(workers_.size()); }
 
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
@@ -63,8 +51,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   size_t in_flight_ = 0;  // queued + currently running tasks
   bool shutting_down_ = false;
-  int target_ = 0;  // desired worker count; workers with id >= target_ retire
-  std::atomic<int> size_{0};  // == workers_.size(), readable without mu_
   std::vector<std::thread> workers_;
 };
 

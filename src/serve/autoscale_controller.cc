@@ -47,16 +47,15 @@ Result<ScalingDecision> StreamForecastPolicy::Decide(
 }
 
 AutoscaleController::AutoscaleController(
-    ThreadPool* pool, std::unique_ptr<AutoscalePolicy> policy,
-    Options options)
-    : pool_(pool), policy_(std::move(policy)), options_(options) {
+    std::unique_ptr<AutoscalePolicy> policy, Options options)
+    : policy_(std::move(policy)), options_(options) {
   if (policy_ == nullptr) policy_ = std::make_unique<ReactivePolicy>();
   options_.min_workers = std::max(1, options_.min_workers);
   options_.max_workers = std::max(options_.min_workers, options_.max_workers);
   options_.per_worker_capacity = std::max(1e-9, options_.per_worker_capacity);
 }
 
-int AutoscaleController::OnInterval(double arrivals) {
+int AutoscaleController::OnInterval(double arrivals, int current_workers) {
   history_.push_back(std::max(0.0, arrivals));
   if (history_.size() > options_.max_history) {
     history_.erase(history_.begin(),
@@ -68,19 +67,17 @@ int AutoscaleController::OnInterval(double arrivals) {
       policy_->Decide(history_, options_.horizon);
   // A policy that cannot decide yet (e.g. empty history edge cases) keeps
   // the current size — the serve loop must never die to a scaling hiccup.
-  if (!decision.ok()) return pool_->NumThreads();
+  if (!decision.ok()) return current_workers;
   last_capacity_ = decision->capacity;
 
   int wanted = static_cast<int>(
       std::ceil(decision->capacity / options_.per_worker_capacity));
   wanted = std::clamp(wanted, options_.min_workers, options_.max_workers);
-  int current = pool_->NumThreads();
-  if (wanted != current) {
+  if (wanted != current_workers) {
     TraceSpan span("serve/resize", wanted);
-    pool_->Resize(wanted);
     ++scale_events_;
   }
-  return pool_->NumThreads();
+  return wanted;
 }
 
 }  // namespace tsdm

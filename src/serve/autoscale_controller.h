@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/decision/scaling/autoscaler.h"
 #include "src/stream/stream_stage.h"
 
@@ -47,17 +46,17 @@ class StreamForecastPolicy : public AutoscalePolicy {
 
 /// Closes the MagicScaler loop ([6]): the serve loop's *observed* arrival
 /// rate becomes the demand history an AutoscalePolicy forecasts over, and
-/// the resulting capacity decision becomes an actual ThreadPool::Resize —
-/// the decision/scaling layer finally scales something real instead of a
-/// simulated trace.
+/// the resulting capacity decision becomes the serving worker count — the
+/// decision/scaling layer scales something real instead of a simulated
+/// trace. The controller only decides; the QueryServer applies the count.
 ///
 /// Units: demand is requests per review interval; one worker is assumed to
 /// serve `per_worker_capacity` requests per interval, so workers =
 /// ceil(capacity / per_worker_capacity), clamped to [min_workers,
 /// max_workers].
 ///
-/// Driven from a single control thread (the serve dispatcher) — the same
-/// restriction ThreadPool::Resize carries.
+/// Not internally synchronized: the server runs each review under its
+/// control lock.
 class AutoscaleController {
  public:
   struct Options {
@@ -72,21 +71,19 @@ class AutoscaleController {
     size_t max_history = 4096;
   };
 
-  /// The pool must outlive the controller. `policy` defaults to
-  /// ReactivePolicy when null — PredictivePolicy needs seasons of history
-  /// that a fresh server does not have yet.
-  AutoscaleController(ThreadPool* pool, std::unique_ptr<AutoscalePolicy> policy)
-      : AutoscaleController(pool, std::move(policy), Options()) {}
-  AutoscaleController(ThreadPool* pool,
-                      std::unique_ptr<AutoscalePolicy> policy,
+  /// `policy` defaults to ReactivePolicy when null — PredictivePolicy needs
+  /// seasons of history that a fresh server does not have yet.
+  explicit AutoscaleController(std::unique_ptr<AutoscalePolicy> policy)
+      : AutoscaleController(std::move(policy), Options()) {}
+  AutoscaleController(std::unique_ptr<AutoscalePolicy> policy,
                       Options options);
 
   /// Records the arrivals observed over the last review interval, asks the
-  /// policy for the next capacity, and resizes the pool if the clamped
-  /// worker count changed. Returns the pool's (possibly new) worker count.
-  int OnInterval(double arrivals);
+  /// policy for the next capacity, and returns the clamped worker count.
+  /// A count different from `current_workers` is a scale event. A policy
+  /// that cannot decide keeps `current_workers`.
+  int OnInterval(double arrivals, int current_workers);
 
-  int workers() const { return pool_->NumThreads(); }
   int scale_events() const { return scale_events_; }
   /// Last capacity the policy asked for (pre-clamping), for observability.
   double last_capacity() const { return last_capacity_; }
@@ -94,7 +91,6 @@ class AutoscaleController {
   const Options& options() const { return options_; }
 
  private:
-  ThreadPool* pool_;
   std::unique_ptr<AutoscalePolicy> policy_;
   Options options_;
   std::vector<double> history_;

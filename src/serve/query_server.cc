@@ -32,10 +32,9 @@ QueryServer::QueryServer(const RoadNetwork* network, PathCostModel base_model,
       cost_model_(std::move(base_model), &cache_, options.cost),
       routes_(network, options.route_cache_entries),
       queue_(options.queue),
-      pool_(std::max(1, options.initial_workers)),
-      batcher_(options.batch),
-      controller_(&pool_, MakeAutoscalePolicy(options), options.autoscale) {
+      controller_(MakeAutoscalePolicy(options), options.autoscale) {
   options_.route_cache_entries = std::max<size_t>(1, options_.route_cache_entries);
+  options_.batch.max_batch = std::max<size_t>(1, options_.batch.max_batch);
 }
 
 QueryServer::~QueryServer() { Stop(); }
@@ -46,34 +45,85 @@ Status QueryServer::Start() {
     return Status::FailedPrecondition("QueryServer: already started");
   }
   started_ = true;
-  running_.store(true, std::memory_order_release);
-  last_autoscale_ns_ = TraceRecorder::NowNs();
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  next_review_ns_.store(
+      TraceRecorder::NowNs() +
+          static_cast<uint64_t>(options_.autoscale_interval_seconds * 1e9),
+      std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> workers_lock(workers_mu_);
+    stopping_ = false;
+  }
+  SetWorkerTarget(std::max(1, options_.initial_workers));
   return Status::OK();
 }
 
 void QueryServer::Stop() {
   // Exactly one caller owns the shutdown: the lifecycle lock makes
   // concurrent Stops (owner thread + destructor, health hooks, the wire
-  // front door) collapse to no-ops instead of a double join, and the
-  // dispatcher handle moves out so the join itself runs unlocked —
-  // Stats() and Submit() stay callable during the drain.
-  std::thread dispatcher;
+  // front door) wait for the first one instead of joining twice. Stats()
+  // and Submit() never take it, so they stay callable during the drain.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  // Closing first makes Submit reject new work and sheds whatever is
+  // still queued; each worker then finishes the batch it holds and finds
+  // the queue closed. Submit admits before Start too, so the queue closes
+  // even when the server never started — the exactly-once callback
+  // contract holds for those requests as well.
+  queue_.Close();
+  if (!started_) return;
+  started_ = false;
+  std::vector<std::thread> threads;
   {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    // Closing first makes Submit reject new work and sheds whatever is
-    // still queued; the dispatcher then flushes its pending batches to
-    // the workers on its way out. Submit admits before Start too, so the
-    // queue closes even when the server never started — the exactly-once
-    // callback contract holds for those requests as well.
-    queue_.Close();
-    if (!started_) return;
-    started_ = false;
-    running_.store(false, std::memory_order_release);
-    dispatcher = std::move(dispatcher_);
+    std::lock_guard<std::mutex> workers_lock(workers_mu_);
+    stopping_ = true;
+    threads.swap(threads_);
   }
-  if (dispatcher.joinable()) dispatcher.join();
-  pool_.Wait();
+  workers_cv_.notify_all();
+  for (std::thread& t : threads) t.join();
+}
+
+void QueryServer::SetWorkerTarget(int n) {
+  {
+    std::lock_guard<std::mutex> lock(workers_mu_);
+    if (stopping_) return;
+    target_workers_.store(n, std::memory_order_release);
+    for (int id = static_cast<int>(threads_.size()); id < n; ++id) {
+      threads_.emplace_back([this, id] { WorkerLoop(id); });
+    }
+  }
+  workers_cv_.notify_all();
+}
+
+void QueryServer::WorkerLoop(int id) {
+  std::vector<ServeRequest> batch;
+  batch.reserve(options_.batch.max_batch);
+  for (;;) {
+    if (id >= target_workers_.load(std::memory_order_acquire)) {
+      std::unique_lock<std::mutex> lock(workers_mu_);
+      workers_cv_.wait(lock, [this, id] {
+        return stopping_ ||
+               id < target_workers_.load(std::memory_order_relaxed);
+      });
+      if (stopping_) return;
+    }
+    // With autoscale on, the wait ends by the next review time so an idle
+    // server still scales down; otherwise only a Push or Close wakes it.
+    const uint64_t now_ns = TraceRecorder::NowNs();
+    double timeout = RequestQueue::kWaitForever;
+    if (options_.autoscale_enabled) {
+      const uint64_t review_ns =
+          next_review_ns_.load(std::memory_order_acquire);
+      timeout = 1e-9 * static_cast<double>(ElapsedNs(review_ns, now_ns));
+    }
+    batch.clear();
+    queue_.PopBatch(now_ns, options_.batch.max_batch, &batch,
+                    options_.batch.max_wait_seconds, timeout);
+    if (!batch.empty()) {
+      ServeBatch(&batch);
+    } else if (queue_.closed()) {
+      return;
+    }
+    MaybeAutoscale();
+  }
 }
 
 ServeRequest QueryServer::MakeRequest(
@@ -217,9 +267,6 @@ ServeStatsSnapshot QueryServer::Stats() const {
   }
   {
     std::unique_lock<std::mutex> lock(control_mu_);
-    snap.batches = batcher_.stats().batches;
-    snap.batched_requests = batcher_.stats().batched_requests;
-    snap.max_batch = batcher_.stats().max_batch_seen;
     snap.scale_events = controller_.scale_events();
   }
   PathCostCache::Stats cs = cache_.GetStats();
@@ -229,9 +276,12 @@ ServeStatsSnapshot QueryServer::Stats() const {
   snap.cache_size = cs.size;
   snap.completed = completed_.load(std::memory_order_acquire);
   snap.failed = failed_.load(std::memory_order_acquire);
-  snap.workers = pool_.NumThreads();
+  snap.workers = workers();
   {
     std::unique_lock<std::mutex> lock(metrics_mu_);
+    snap.batches = batches_;
+    snap.batched_requests = batched_requests_;
+    snap.max_batch = max_batch_seen_;
     snap.queue_latency = queue_latency_;
     snap.e2e_latency = e2e_latency_;
     snap.stage_queue = stage_queue_;
@@ -242,100 +292,34 @@ ServeStatsSnapshot QueryServer::Stats() const {
   return snap;
 }
 
-void QueryServer::DispatcherLoop() {
-  std::vector<ServeRequest> popped;
-  std::vector<std::vector<ServeRequest>> ready;
-  const size_t pop_chunk = std::max<size_t>(1, options_.batch.max_batch) * 4;
-
-  while (running_.load(std::memory_order_acquire)) {
-    popped.clear();
-    ready.clear();
-    uint64_t now = TraceRecorder::NowNs();
-    if (WorkersSaturated()) {
-      // Workers are fully buffered: leave the backlog in the weighted-fair
-      // queue, where deadlines expire, quotas bind, and higher-priority
-      // arrivals can still displace it. Batches whose linger expired are
-      // flushed regardless (their requests are already popped), and the
-      // autoscale loop keeps observing arrivals — saturation is exactly
-      // when it has something to say.
-      {
-        std::unique_lock<std::mutex> lock(control_mu_);
-        batcher_.FlushExpired(now, &ready);
-      }
-      DispatchReady(&ready);
-      MaybeAutoscale(now);
-      std::unique_lock<std::mutex> lock(batch_done_mu_);
-      batch_done_cv_.wait_for(
-          lock, std::chrono::duration<double>(options_.idle_poll_seconds),
-          [this] {
-            return !WorkersSaturated() ||
-                   !running_.load(std::memory_order_acquire);
-          });
-      continue;
-    }
-    size_t n = queue_.PopBatch(now, pop_chunk, &popped);
-    {
-      std::unique_lock<std::mutex> lock(control_mu_);
-      for (auto& req : popped) batcher_.Add(std::move(req), &ready);
-      batcher_.FlushExpired(now, &ready);
-    }
-    DispatchReady(&ready);
-    MaybeAutoscale(now);
-    if (n == 0) queue_.WaitForWork(options_.idle_poll_seconds);
-  }
-
-  // Shutdown drain: the queue is closed (Stop closed it before clearing
-  // running_), so one final pass moves everything still pending through
-  // the workers.
-  popped.clear();
-  ready.clear();
-  uint64_t now = TraceRecorder::NowNs();
-  queue_.PopBatch(now, static_cast<size_t>(-1), &popped);
-  {
-    std::unique_lock<std::mutex> lock(control_mu_);
-    for (auto& req : popped) batcher_.Add(std::move(req), &ready);
-    batcher_.FlushAll(&ready);
-  }
-  DispatchReady(&ready);
-}
-
-bool QueryServer::WorkersSaturated() const {
-  const int limit = options_.max_batches_per_worker;
-  if (limit <= 0) return false;
-  return in_flight_batches_.load(std::memory_order_acquire) >=
-         limit * pool_.NumThreads();
-}
-
-void QueryServer::DispatchReady(
-    std::vector<std::vector<ServeRequest>>* ready) {
-  for (auto& batch : *ready) {
-    in_flight_batches_.fetch_add(1, std::memory_order_acq_rel);
-    auto shared =
-        std::make_shared<std::vector<ServeRequest>>(std::move(batch));
-    pool_.Submit([this, shared] {
-      ServeBatch(shared.get());
-      in_flight_batches_.fetch_sub(1, std::memory_order_acq_rel);
-      batch_done_cv_.notify_one();
-    });
-  }
-  ready->clear();
-}
-
 void QueryServer::ServeBatch(std::vector<ServeRequest>* batch) {
-  // The batch span carries the MicroBatcher's batch id as its arg; each
-  // member request's batch_wait span carries the same id, so the exported
-  // trace links a batch to the requests it amortized.
-  const int64_t batch_id =
-      batch->empty() ? 0 : static_cast<int64_t>(batch->front().batch_id);
-  TraceSpan span("serve/batch", batch_id);
-  for (const ServeRequest& req : *batch) ServeOne(req);
+  in_flight_batches_.fetch_add(1, std::memory_order_acq_rel);
+  // Every batch gets a dense 1-based id, stamped into each member. The
+  // batch span carries it as its arg, and so does each member's batch_wait
+  // span, so the exported trace links a batch to the requests it
+  // amortized.
+  uint64_t batch_id = 0;
+  {
+    std::unique_lock<std::mutex> lock(metrics_mu_);
+    batch_id = ++batches_;
+    batched_requests_ += batch->size();
+    max_batch_seen_ = std::max(max_batch_seen_, batch->size());
+  }
+  {
+    TraceSpan span("serve/batch", static_cast<int64_t>(batch_id));
+    for (ServeRequest& req : *batch) {
+      req.batch_id = batch_id;
+      ServeOne(req);
+    }
+  }
+  in_flight_batches_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void QueryServer::ServeOne(const ServeRequest& req) {
   const uint64_t start_ns = TraceRecorder::NowNs();
-  // The batching stage — dequeue to worker pickup — has no RAII scope (it
-  // spans the dispatcher and the pool hand-off), so record it
-  // retrospectively now that it just ended.
+  // The batch stage — popped to this request's turn on the popping worker,
+  // i.e. the wait behind earlier batch members — has no RAII scope, so
+  // record it retrospectively now that it just ended.
   if (req.dequeue_ns != 0) {
     TraceRecorder::Global().RecordSpan("serve/batch_wait", req.dequeue_ns,
                                        start_ns, req.trace,
@@ -441,22 +425,23 @@ void QueryServer::ServeOne(const ServeRequest& req) {
   if (req.on_done) req.on_done(answer);
 }
 
-void QueryServer::MaybeAutoscale(uint64_t now_ns) {
+void QueryServer::MaybeAutoscale() {
   if (!options_.autoscale_enabled) return;
-  const double interval_ns = options_.autoscale_interval_seconds * 1e9;
-  if (static_cast<double>(ElapsedNs(now_ns, last_autoscale_ns_)) <
-      interval_ns) {
-    return;
-  }
-  last_autoscale_ns_ = now_ns;
+  const uint64_t now_ns = TraceRecorder::NowNs();
+  if (now_ns < next_review_ns_.load(std::memory_order_acquire)) return;
+  std::unique_lock<std::mutex> lock(control_mu_);
+  // Another worker may have run this review while we waited for the lock.
+  if (now_ns < next_review_ns_.load(std::memory_order_relaxed)) return;
+  next_review_ns_.store(
+      now_ns + static_cast<uint64_t>(options_.autoscale_interval_seconds * 1e9),
+      std::memory_order_release);
   // Demand = everything submitted, shed included: admission control must
   // not hide overload from the forecaster, or shedding would lock the
   // pool at its current size forever.
   uint64_t submitted = queue_.GetStats().submitted;
   double arrivals = static_cast<double>(submitted - last_submitted_);
   last_submitted_ = submitted;
-  std::unique_lock<std::mutex> lock(control_mu_);
-  controller_.OnInterval(arrivals);
+  SetWorkerTarget(controller_.OnInterval(arrivals, workers()));
 }
 
 }  // namespace tsdm

@@ -13,10 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/decision/routing/stochastic_router.h"
 #include "src/serve/autoscale_controller.h"
-#include "src/serve/micro_batcher.h"
 #include "src/serve/path_cost_cache.h"
 #include "src/serve/query_service.h"
 #include "src/serve/request_queue.h"
@@ -29,8 +27,14 @@ namespace tsdm {
 /// The serving front door for routing queries — the piece that turns the
 /// decision layer from a library into a system:
 ///
-///   clients --Submit--> RequestQueue --dispatcher--> MicroBatcher
-///        --batches--> ThreadPool workers --> answer callbacks
+///   clients --Submit--> RequestQueue <--PopBatch-- workers
+///        --> answer callbacks
+///
+/// Each worker pops a size-or-age batch straight from the weighted-fair
+/// queue, serves it, and runs the autoscale review when one is due. No
+/// second queue sits behind the fair one, so under overload the backlog
+/// stays where deadlines expire, quotas bind and higher-priority arrivals
+/// overtake it.
 ///
 /// Workers answer each query from two layers of memoization: a bounded
 /// LRU of candidate route enumerations per (source, target, k) — the
@@ -39,18 +43,21 @@ namespace tsdm {
 /// A warm query therefore costs two lookups plus a few convolutions where
 /// a cold one pays Yen's algorithm plus full cost recomposition.
 ///
-/// The dispatcher doubles as the autoscale control loop: every review
-/// interval it feeds the observed arrival count into the
-/// AutoscaleController, which forecasts demand and resizes the worker
-/// pool within [min_workers, max_workers].
+/// Every review interval one worker feeds the observed arrival count into
+/// the AutoscaleController, which forecasts demand and picks a worker
+/// count within [min_workers, max_workers]. A shrink only lowers the
+/// target: workers whose id is at or above it park until a grow or Stop.
+/// A grow raises the target and spawns only slots that have never run.
+/// Stop joins every worker, so no resize ever waits on a join.
 ///
 /// Thread-safety: Submit is safe from any number of producer threads.
 /// Start/Stop/WaitIdle are for the owning (control) thread. Callbacks run
-/// on worker threads (served), the dispatcher (expired in queue), or the
-/// Stop caller (drained at shutdown) — exactly once per admitted request.
+/// on the popping worker (served, or expired in queue), on the Stop caller
+/// (drained at shutdown), or on a displacing producer (evicted) — exactly
+/// once per admitted request.
 class QueryServer : public QueryService {
  public:
-  /// Which AutoscalePolicy the dispatcher's control loop runs. Options
+  /// Which AutoscalePolicy the autoscale review runs. Options
   /// must stay copyable, so the server owns policy construction from this
   /// tag instead of holding a unique_ptr in Options.
   enum class AutoscalePolicyKind {
@@ -58,9 +65,17 @@ class QueryServer : public QueryService {
     kForecast,  ///< StreamForecastPolicy: Holt trend projection (pre-scales)
   };
 
+  /// Size-or-age batching: a worker pops once `max_batch` requests are
+  /// queued or the oldest has waited `max_wait_seconds` — full batches
+  /// under load, bounded added latency when idle.
+  struct BatchOptions {
+    size_t max_batch = 16;
+    double max_wait_seconds = 0.002;
+  };
+
   struct Options {
     RequestQueue::Options queue;
-    MicroBatcher::Options batch;
+    BatchOptions batch;
     PathCostCache::Options cache;
     CachedPathCostModel::Options cost;
     AutoscaleController::Options autoscale;
@@ -70,19 +85,6 @@ class QueryServer : public QueryService {
     int initial_workers = 2;
     bool autoscale_enabled = true;
     double autoscale_interval_seconds = 0.05;
-    /// Dispatcher block time while idle; bounds shutdown latency.
-    double idle_poll_seconds = 0.001;
-    /// Backpressure bound: the dispatcher stops popping the admission
-    /// queue while `max_batches_per_worker * workers` batches are already
-    /// in flight. Under overload this keeps the backlog *in* the
-    /// weighted-fair queue — where deadlines expire, quotas bind, and
-    /// higher-priority arrivals can displace it — instead of silently
-    /// spilling into the worker pool's unbounded FIFO, which would undo
-    /// every scheduling decision exactly when scheduling matters. The
-    /// default keeps a few batches of slack per worker so the dispatcher's
-    /// wake-up latency never starves a worker between refills.
-    /// <= 0 disables backpressure (pre-multi-tenant behavior).
-    int max_batches_per_worker = 4;
     /// Candidate-route LRU entries ((source, target, k) keys).
     size_t route_cache_entries = 512;
     /// Called synchronously inside Submit for every route query, before
@@ -112,12 +114,13 @@ class QueryServer : public QueryService {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Spawns the dispatcher. FailedPrecondition if already started.
+  /// Spawns `initial_workers` workers. FailedPrecondition if already
+  /// started.
   Status Start();
 
-  /// Closes the queue (draining queued requests as shed), flushes pending
-  /// batches through the workers, joins the dispatcher, and waits for
-  /// in-flight work. Idempotent.
+  /// Closes the queue (draining queued requests as shed), lets each worker
+  /// finish the batch it holds, and joins every worker. Idempotent; must
+  /// not be called from an answer callback.
   void Stop();
 
   /// Admission control: OK means `on_done` will be called exactly once;
@@ -143,23 +146,29 @@ class QueryServer : public QueryService {
   bool QueueFull() const override;
 
   /// Blocks until every admitted request has reached a terminal state
-  /// (answered or shed) and no batch is in flight.
+  /// (answered or shed) and no batch is being served.
   void WaitIdle() const override;
 
   ServeStatsSnapshot Stats() const override;
-  int workers() const { return pool_.NumThreads(); }
+  /// Active (unparked) worker count: the autoscaler's current target.
+  int workers() const {
+    return target_workers_.load(std::memory_order_acquire);
+  }
   PathCostCache& cache() { return cache_; }
   const PathCostCache& cache() const { return cache_; }
   const Options& options() const { return options_; }
 
  private:
-  void DispatcherLoop();
-  /// True while the in-flight batch count is at the backpressure bound.
-  bool WorkersSaturated() const;
-  void DispatchReady(std::vector<std::vector<ServeRequest>>* ready);
+  /// One worker's life: park while its id is at or above the target, pop a
+  /// size-or-age batch, serve it, review autoscale when due; exits once the
+  /// queue is closed and empty.
+  void WorkerLoop(int id);
+  /// Sets the active worker count, spawning never-run slots on a grow.
+  /// No-op once Stop has begun.
+  void SetWorkerTarget(int n);
   void ServeBatch(std::vector<ServeRequest>* batch);
   void ServeOne(const ServeRequest& req);
-  void MaybeAutoscale(uint64_t now_ns);
+  void MaybeAutoscale();
 
   /// Builds the queued request shared by Submit and SubmitProbe: assigns
   /// the id, roots (or adopts) the trace tree, and stamps admission state.
@@ -174,14 +183,13 @@ class QueryServer : public QueryService {
   CachedPathCostModel cost_model_;
   RouteCache routes_;
   RequestQueue queue_;
-  ThreadPool pool_;
 
-  // Dispatcher-owned state, guarded so Stats() can read it concurrently.
+  // Autoscale review state; whichever worker finds a review due runs it
+  // under control_mu_.
   mutable std::mutex control_mu_;
-  MicroBatcher batcher_;
   AutoscaleController controller_;
-  uint64_t last_autoscale_ns_ = 0;
   uint64_t last_submitted_ = 0;
+  std::atomic<uint64_t> next_review_ns_{0};
 
   // Worker-side accounting.
   struct TenantWorkerStats {
@@ -197,23 +205,27 @@ class QueryServer : public QueryService {
   LatencyHistogram stage_cache_;
   LatencyHistogram stage_exec_;
   std::map<std::string, TenantWorkerStats> tenant_metrics_;
+  uint64_t batches_ = 0;  ///< also the last batch id stamped
+  uint64_t batched_requests_ = 0;
+  size_t max_batch_seen_ = 0;
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> next_id_{0};
   std::atomic<int> in_flight_batches_{0};
 
-  // Wakes the dispatcher out of its backpressure wait when a batch
-  // completes (paired with in_flight_batches_; the wait also times out at
-  // idle_poll_seconds, so a missed notify only costs one poll interval).
-  mutable std::mutex batch_done_mu_;
-  std::condition_variable batch_done_cv_;
+  // Worker slots only grow while running; threads_[i] runs WorkerLoop(i).
+  // target_workers_ is written under workers_mu_ so parked workers never
+  // miss a grow.
+  std::mutex workers_mu_;
+  std::condition_variable workers_cv_;
+  std::vector<std::thread> threads_;
+  std::atomic<int> target_workers_{0};
+  bool stopping_ = false;
 
   // Start/Stop lifecycle. The mutex serializes concurrent Stops (owner +
-  // destructor + monitoring hooks) so the dispatcher is joined exactly
-  // once; `started_` is only touched under it.
+  // destructor + monitoring hooks) so the workers are joined exactly once;
+  // `started_` is only touched under it.
   mutable std::mutex lifecycle_mu_;
-  std::thread dispatcher_;
-  std::atomic<bool> running_{false};
   bool started_ = false;
 };
 

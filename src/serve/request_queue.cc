@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
@@ -88,6 +90,18 @@ ServeRequest RequestQueue::PopHighest(Tenant* t) {
   return ServeRequest{};
 }
 
+uint64_t RequestQueue::OldestEnqueueNs() const {
+  // Buckets are FIFO, so each front is its bucket's oldest request.
+  uint64_t oldest = std::numeric_limits<uint64_t>::max();
+  for (const auto& t : tenants_) {
+    if (t->depth == 0) continue;
+    for (const auto& bucket : t->buckets) {
+      if (!bucket.empty()) oldest = std::min(oldest, bucket.front().enqueue_ns);
+    }
+  }
+  return oldest;
+}
+
 Status RequestQueue::Push(ServeRequest req) {
   req.priority = ClampPriority(req.priority);
   // Unattributed requests belong to the reserved "default" tenant — every
@@ -164,10 +178,12 @@ Status RequestQueue::Push(ServeRequest req) {
 }
 
 size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
-                              std::vector<ServeRequest>* out) {
+                              std::vector<ServeRequest>* out,
+                              double max_wait_seconds, double timeout_seconds) {
   std::vector<ServeRequest> expired;
   size_t delivered = 0;
   const size_t first_new = out->size();
+  const double max_wait_ns = std::max(0.0, max_wait_seconds) * 1e9;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // The caller sampled `now_ns` before taking the lock; a request pushed
@@ -175,6 +191,32 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
     // the lock makes every queued request's enqueue_ns <= now_ns, so it is
     // neither judged expired nor given a dequeue before its enqueue.
     now_ns = std::max(now_ns, TraceRecorder::NowNs());
+    const uint64_t give_up_ns =
+        timeout_seconds < 0.0
+            ? std::numeric_limits<uint64_t>::max()
+            : now_ns + static_cast<uint64_t>(timeout_seconds * 1e9);
+    // Size-or-age wait. The age trigger is `now - oldest >= max_wait`: a
+    // batch whose age equals the linger exactly is ready.
+    for (;;) {
+      if (closed_ || total_depth_ >= max_n) break;
+      uint64_t wake_ns = give_up_ns;
+      if (total_depth_ > 0) {
+        const uint64_t oldest = OldestEnqueueNs();
+        if (static_cast<double>(ElapsedNs(now_ns, oldest)) >= max_wait_ns) {
+          break;
+        }
+        wake_ns = std::min(
+            wake_ns, oldest + static_cast<uint64_t>(std::ceil(max_wait_ns)));
+      }
+      if (now_ns >= give_up_ns) return 0;
+      if (wake_ns == std::numeric_limits<uint64_t>::max()) {
+        available_.wait(lock);
+      } else {
+        available_.wait_for(
+            lock, std::chrono::nanoseconds(ElapsedNs(wake_ns, now_ns)));
+      }
+      now_ns = std::max(now_ns, TraceRecorder::NowNs());
+    }
     // Deficit round-robin: each sweep credits every backlogged tenant
     // quantum * weight and drains while its deficit covers unit-cost pops.
     // Sweeps repeat until the request budget or the backlog is exhausted —
@@ -228,13 +270,6 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
                         "serve: queueing budget exceeded, request shed"));
   }
   return delivered;
-}
-
-bool RequestQueue::WaitForWork(double timeout_seconds) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  available_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                      [this] { return closed_ || total_depth_ > 0; });
-  return total_depth_ > 0;
 }
 
 void RequestQueue::Close() {

@@ -28,9 +28,9 @@ struct RouteQuery {
   int k = 4;                            ///< candidate routes to enumerate
   double depart_seconds = 0.0;          ///< time of day, seconds
   double arrival_deadline_seconds = 0;  ///< absolute arrival deadline
-  /// Model/network snapshot generation the query was issued against. The
-  /// micro-batcher only coalesces queries of the same snapshot — batching
-  /// must never mix answers from different network states.
+  /// Model/network snapshot generation the query was issued against.
+  /// Carried unchanged through the wire and trace formats; the server
+  /// holds one network, so it does not read the field.
   int snapshot_id = 0;
 };
 
@@ -38,11 +38,12 @@ struct RouteQuery {
 /// components partition the admission-to-answer interval exactly (they are
 /// computed from the same clock samples, so the telescoping sum equals the
 /// end-to-end latency to the nanosecond): where did *this* request's time
-/// go — waiting in the queue, forming a batch / waiting for a worker,
-/// inside the path-cost layer, or in route enumeration and scoring?
+/// go — waiting in the queue (batch linger included), waiting behind the
+/// earlier members of its batch, inside the path-cost layer, or in route
+/// enumeration and scoring?
 struct StageBreakdown {
-  uint64_t queue_ns = 0;  ///< admission -> dequeued by the dispatcher
-  uint64_t batch_ns = 0;  ///< dequeue -> a worker starts serving it
+  uint64_t queue_ns = 0;  ///< admission -> popped by a worker
+  uint64_t batch_ns = 0;  ///< popped -> that worker starts serving it
   uint64_t cache_ns = 0;  ///< inside CachedPathCostModel (cache + base model)
   uint64_t exec_ns = 0;   ///< remaining worker execution (routes, scoring)
 
@@ -78,16 +79,16 @@ struct RouteAnswer {
 
 /// A queued request: the query plus its admission timestamp, queueing
 /// budget, and completion callback. The callback is invoked exactly once —
-/// on a worker thread for served requests, on the dispatcher thread for
-/// requests shed after admission (expired in queue / drained at shutdown),
-/// or on the displacing producer's thread for requests evicted by a
-/// higher-priority arrival under overload.
+/// on the popping worker's thread for served requests and for requests
+/// that expired in queue, on the Close caller's thread for requests
+/// drained at shutdown, or on the displacing producer's thread for
+/// requests evicted by a higher-priority arrival under overload.
 struct ServeRequest {
   uint64_t id = 0;
   RouteQuery query;
   uint64_t enqueue_ns = 0;        ///< TraceRecorder::NowNs at admission
-  uint64_t dequeue_ns = 0;        ///< set by PopBatch when the dispatcher pops
-  uint64_t batch_id = 0;          ///< set by MicroBatcher at dispatch (0=none)
+  uint64_t dequeue_ns = 0;        ///< set by PopBatch when a worker pops
+  uint64_t batch_id = 0;          ///< set by the serving worker (0 = none)
   double queue_budget_seconds = 0.25;  ///< max queueing time; <= 0 = none
   int priority = 0;               ///< scheduling class, clamped to [0, 3]
   int shard = -1;                 ///< SubmitOptions::shard (-1 = unsharded)
@@ -111,7 +112,7 @@ struct ServeRequest {
 /// control — the serving front door. Requests carry a tenant id and a
 /// priority class; internally the queue holds one sub-queue per tenant
 /// (split into priority buckets) and PopBatch drains them by deficit
-/// round-robin, so a tenant's share of dispatched work tracks its
+/// round-robin, so a tenant's share of served work tracks its
 /// configured weight regardless of how aggressively other tenants submit.
 ///
 /// Admission control is three-layered and Push never blocks:
@@ -122,7 +123,7 @@ struct ServeRequest {
 ///    lowest occupied class (shed-lowest-priority-first) — the evicted
 ///    request's callback fires with a typed shed; otherwise the arrival
 ///    itself is shed with Status::ResourceExhausted;
-///  - queueing budget: requests whose budget expires before a dispatcher
+///  - queueing budget: requests whose budget expires before a worker
 ///    pops them are shed at pop time — admitting them to a worker would
 ///    only burn service capacity on an answer the client gave up on.
 ///
@@ -159,7 +160,7 @@ class RequestQueue {
   };
 
   /// Per-tenant view of the admission counters. depth is current resident
-  /// requests; popped counts requests actually handed to the dispatcher —
+  /// requests; popped counts requests actually handed to a worker —
   /// the number weighted-fairness tests assert ratios on.
   struct TenantStats {
     uint64_t submitted = 0;
@@ -168,7 +169,7 @@ class RequestQueue {
     uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
     uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
     uint64_t shed_evicted = 0;   ///< displaced by a higher-priority arrival
-    uint64_t popped = 0;         ///< delivered to the dispatcher
+    uint64_t popped = 0;         ///< delivered to a worker
     size_t depth = 0;
   };
 
@@ -197,19 +198,27 @@ class RequestQueue {
   /// returns.
   Status Push(ServeRequest req);
 
-  /// Pops up to `max_n` unexpired requests by deficit round-robin across
-  /// tenants, appending to *out. Expiry and dequeue_ns use the later of
-  /// `now_ns` and the clock read under the queue lock, so a stale caller
-  /// sample never predates a queued request's enqueue_ns. Expired requests
-  /// encountered on the way are shed: counted, and their callback fired
-  /// with a ResourceExhausted answer. Returns the number of live requests
-  /// delivered. Non-blocking.
-  size_t PopBatch(uint64_t now_ns, size_t max_n, std::vector<ServeRequest>* out);
+  /// PopBatch timeout that never gives up: wait until a batch is ready or
+  /// the queue closes.
+  static constexpr double kWaitForever = -1.0;
 
-  /// Blocks until the queue has requests, closes, or `timeout_seconds`
-  /// elapses; returns true when requests are available. Pops stay with
-  /// PopBatch so every dequeue goes through the same expiry check.
-  bool WaitForWork(double timeout_seconds) const;
+  /// Waits for a size-or-age batch, then pops up to `max_n` unexpired
+  /// requests by deficit round-robin across tenants, appending to *out. A
+  /// batch is ready once `max_n` requests are queued (size), once the
+  /// oldest queued request has waited `max_wait_seconds` (age), or once the
+  /// queue is closed. PopBatch blocks up to `timeout_seconds` (0 = not at
+  /// all, kWaitForever = no limit) and pops nothing if the batch is still
+  /// not ready then. With max_wait_seconds 0 any queued request is ready,
+  /// so the defaults are a plain non-blocking pop.
+  ///
+  /// Age, expiry and dequeue_ns use the later of `now_ns` and the clock
+  /// read under the queue lock, so a stale caller sample never predates a
+  /// queued request's enqueue_ns. Expired requests encountered on the way
+  /// are shed: counted, and their callback fired with a ResourceExhausted
+  /// answer on the calling thread. Returns the number of live requests
+  /// delivered.
+  size_t PopBatch(uint64_t now_ns, size_t max_n, std::vector<ServeRequest>* out,
+                  double max_wait_seconds = 0.0, double timeout_seconds = 0.0);
 
   /// Closes the queue: subsequent Push calls are rejected and queued
   /// requests are drained, each callback fired with a FailedPrecondition
@@ -236,10 +245,13 @@ class RequestQueue {
   /// Pops the front of `t`'s highest-priority non-empty bucket (lock held;
   /// depth bookkeeping included). Requires t->depth > 0.
   ServeRequest PopHighest(Tenant* t);
+  /// Earliest enqueue_ns among the bucket fronts (lock held). Requires
+  /// total_depth_ > 0.
+  uint64_t OldestEnqueueNs() const;
 
   Options options_;
   mutable std::mutex mu_;
-  mutable std::condition_variable available_;
+  std::condition_variable available_;
   /// Insertion order doubles as the round-robin visit order.
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::map<std::string, size_t> tenant_index_;  ///< name -> tenants_ slot

@@ -76,7 +76,7 @@ struct ServeStatsSnapshot {
   uint64_t shed_evicted = 0;   ///< displaced by higher-priority arrivals
   size_t queue_depth = 0;
 
-  // Batching (MicroBatcher).
+  // Size-or-age batches popped by the workers.
   uint64_t batches = 0;
   uint64_t batched_requests = 0;
   size_t max_batch = 0;
@@ -90,19 +90,20 @@ struct ServeStatsSnapshot {
   // Execution.
   uint64_t completed = 0;  ///< answered OK
   uint64_t failed = 0;     ///< answered non-OK by the router/model
-  int workers = 0;         ///< current ThreadPool size
+  int workers = 0;         ///< active workers: the autoscale target (parked
+                           ///< workers above it are not counted)
   int scale_events = 0;    ///< autoscaler resizes since start
 
   // Lifecycle latencies of *answered* requests.
-  LatencyHistogram queue_latency;  ///< admission -> dispatch
+  LatencyHistogram queue_latency;  ///< admission -> worker pickup
   LatencyHistogram e2e_latency;    ///< admission -> answer
 
   // Critical-path attribution of answered requests: per-stage latency
   // distributions matching StageBreakdown. For each request the four
   // stage samples telescope to its e2e latency, so comparing the stages'
   // total_seconds() tells you which component the fleet's time went to.
-  LatencyHistogram stage_queue;  ///< admission -> dequeue
-  LatencyHistogram stage_batch;  ///< dequeue -> worker pickup
+  LatencyHistogram stage_queue;  ///< admission -> popped (linger included)
+  LatencyHistogram stage_batch;  ///< popped -> turn within its batch
   LatencyHistogram stage_cache;  ///< inside the path-cost layer
   LatencyHistogram stage_exec;   ///< remaining worker execution
 

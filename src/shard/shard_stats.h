@@ -102,7 +102,11 @@ inline HealthSnapshot AggregateFleetHealth(
     }
     for (const MetricVerdict& v : m.metrics) {
       MetricVerdict prefixed = v;
-      prefixed.name = "s" + std::to_string(i) + "/" + v.name;
+      std::string name = "s";
+      name += std::to_string(i);
+      name += '/';
+      name += v.name;
+      prefixed.name = std::move(name);
       fleet.metrics.push_back(std::move(prefixed));
     }
   }

@@ -147,7 +147,9 @@ TEST_F(DebugEndpointTest, DebugTracesMatchesTraceRecorderExportByteForByte) {
                   .ok());
   EXPECT_EQ(res.status_code, 200);
   for (const auto& h : res.headers) {
-    if (h.first == "content-type") EXPECT_EQ(h.second, "application/json");
+    if (h.first == "content-type") {
+      EXPECT_EQ(h.second, "application/json");
+    }
   }
 
   // One request in flight, one request retained: the wire body, the flight

@@ -56,75 +56,6 @@ TEST(ThreadPoolTest, WorkerIdIsBoundedAndUnsetOffPool) {
   EXPECT_EQ(bad_ids.load(), 0);
 }
 
-TEST(ThreadPoolTest, ResizeGrowsAndShrinks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.NumThreads(), 2);
-  pool.Resize(6);
-  EXPECT_EQ(pool.NumThreads(), 6);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-
-  pool.Resize(1);
-  EXPECT_EQ(pool.NumThreads(), 1);
-  for (int i = 0; i < 100; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
-
-  // Resize clamps to at least one worker; a no-op resize is fine.
-  pool.Resize(0);
-  EXPECT_EQ(pool.NumThreads(), 1);
-  pool.Resize(1);
-  EXPECT_EQ(pool.NumThreads(), 1);
-}
-
-TEST(ThreadPoolTest, ResizeKeepsWorkerIdsDense) {
-  ThreadPool pool(8);
-  pool.Resize(3);
-  std::atomic<int> bad_ids{0};
-  for (int i = 0; i < 120; ++i) {
-    pool.Submit([&bad_ids] {
-      int id = ThreadPool::CurrentWorkerId();
-      if (id < 0 || id >= 3) bad_ids.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(bad_ids.load(), 0);
-}
-
-TEST(ThreadPoolTest, SubmitDuringResizeLosesNoTasks) {
-  // Producers hammer Submit while the control thread walks the pool size up
-  // and down. Every submitted task must run exactly once; under TSan this
-  // also shakes out data races between Resize and the worker loops.
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::atomic<int> submitted{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&pool, &counter, &submitted, &stop] {
-      while (!stop.load()) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-        submitted.fetch_add(1);
-      }
-    });
-  }
-  const int sizes[] = {1, 7, 2, 5, 1, 8, 3};
-  for (int n : sizes) {
-    pool.Resize(n);
-    EXPECT_EQ(pool.NumThreads(), n);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true);
-  for (auto& t : producers) t.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), submitted.load());
-  EXPECT_GT(counter.load(), 0);
-}
-
-// --- LatencyHistogram / StageMetricsRegistry -----------------------------
-
 TEST(LatencyHistogramTest, BasicStatsAndQuantiles) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -2,18 +2,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
 #include "src/serve/autoscale_controller.h"
-#include "src/serve/micro_batcher.h"
 #include "src/serve/query_server.h"
 #include "src/serve/request_queue.h"
 #include "src/sim/road_gen.h"
@@ -89,7 +89,7 @@ TEST(RequestQueueTest, ZeroBudgetMeansNoExpiry) {
 }
 
 TEST(RequestQueueTest, StaleCallerClockNeitherShedsNorMistimes) {
-  // A dispatcher samples its clock before PopBatch takes the queue lock, so
+  // A worker samples its clock before PopBatch takes the queue lock, so
   // a request admitted in that gap is stamped after the caller's now_ns. It
   // must be delivered, not shed as expired by a wrapped uint64_t age, and
   // its queue wait must not end before it starts.
@@ -133,160 +133,157 @@ TEST(RequestQueueTest, CloseDrainsAndRejects) {
   queue.Close();  // idempotent
 }
 
-// --- MicroBatcher --------------------------------------------------------
+// --- PopBatch size-or-age wait ------------------------------------------
 
-TEST(MicroBatcherTest, DispatchesFullBatchPerSnapshot) {
-  MicroBatcher::Options opts;
-  opts.max_batch = 2;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  batcher.Add(MakeRequest(1, /*snapshot=*/0), &ready);
-  batcher.Add(MakeRequest(2, /*snapshot=*/1), &ready);
-  EXPECT_TRUE(ready.empty());
-  EXPECT_EQ(batcher.pending(), 2u);
-
-  // Snapshot 0 fills up; snapshot 1 keeps waiting — batches never mix
-  // snapshots.
-  batcher.Add(MakeRequest(3, /*snapshot=*/0), &ready);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].size(), 2u);
-  EXPECT_EQ(ready[0][0].query.snapshot_id, 0);
-  EXPECT_EQ(ready[0][1].query.snapshot_id, 0);
-  EXPECT_EQ(batcher.pending(), 1u);
-
-  batcher.FlushAll(&ready);
-  ASSERT_EQ(ready.size(), 2u);
-  EXPECT_EQ(ready[1][0].query.snapshot_id, 1);
-  EXPECT_EQ(batcher.pending(), 0u);
-
-  EXPECT_EQ(batcher.stats().batches, 2u);
-  EXPECT_EQ(batcher.stats().batched_requests, 3u);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 2u);
+// PopBatch judges age on the later of the caller's clock and its own, so a
+// controlled clock must run ahead of the real one: these tests stamp
+// requests an hour into the future and pass clocks relative to that stamp.
+uint64_t ControlledT0() {
+  return TraceRecorder::NowNs() + 3600ull * 1000000000ull;
 }
 
-TEST(MicroBatcherTest, FlushExpiredUsesOldestMember) {
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.002;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
+TEST(PopBatchWaitTest, SizeTriggerPopsAFullBatch) {
+  RequestQueue queue;
+  const uint64_t t0 = ControlledT0();
+  ServeRequest first = MakeRequest(1);
+  first.enqueue_ns = t0;
+  ASSERT_TRUE(queue.Push(std::move(first)).ok());
+  std::vector<ServeRequest> out;
+  // One of two, and far from the linger: not ready, nothing popped.
+  EXPECT_EQ(queue.PopBatch(t0, 2, &out, /*max_wait_seconds=*/10.0), 0u);
+  EXPECT_EQ(queue.GetStats().depth, 1u);
 
-  batcher.Add(MakeRequest(1), &ready);
-  uint64_t now = TraceRecorder::NowNs();
-  batcher.FlushExpired(now, &ready);
-  EXPECT_TRUE(ready.empty());  // not old enough yet
-
-  batcher.FlushExpired(now + 3000000ull, &ready);  // +3ms
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
+  ServeRequest second = MakeRequest(2);
+  second.enqueue_ns = t0;
+  ASSERT_TRUE(queue.Push(std::move(second)).ok());
+  ASSERT_EQ(queue.PopBatch(t0, 2, &out, /*max_wait_seconds=*/10.0), 2u);
+  EXPECT_EQ(out[0].id, 1u);
+  EXPECT_EQ(out[1].id, 2u);
+  EXPECT_EQ(queue.GetStats().depth, 0u);
 }
 
-TEST(MicroBatcherTest, FlushExpiredFiresAtExactDeadline) {
-  // The age trigger is `now - oldest >= budget`: a batch whose age equals
-  // the budget EXACTLY is flushed — the boundary belongs to the flush, so
-  // a dispatcher polling on whole budget multiples never strands a batch
-  // for an extra tick.
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.002;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
+TEST(PopBatchWaitTest, AgeTriggerUsesOldestMember) {
+  RequestQueue queue;
+  const uint64_t t0 = ControlledT0();
+  ServeRequest oldest = MakeRequest(1);
+  oldest.enqueue_ns = t0;
+  ASSERT_TRUE(queue.Push(std::move(oldest)).ok());
+  ServeRequest younger = MakeRequest(2);
+  younger.enqueue_ns = t0 + 2000000ull;
+  ASSERT_TRUE(queue.Push(std::move(younger)).ok());
 
-  const uint64_t t0 = 1000000000ull;  // controlled clock, no NowNs jitter
+  std::vector<ServeRequest> out;
+  EXPECT_EQ(queue.PopBatch(t0, 100, &out, 0.002), 0u);  // not old enough yet
+  // +3ms: the oldest member has aged out although the younger has not, so
+  // the whole backlog goes.
+  EXPECT_EQ(queue.PopBatch(t0 + 3000000ull, 100, &out, 0.002), 2u);
+  EXPECT_EQ(queue.GetStats().depth, 0u);
+}
+
+TEST(PopBatchWaitTest, AgeTriggerFiresAtExactDeadline) {
+  // The age trigger is `now - oldest >= max_wait`: a batch whose age equals
+  // the linger EXACTLY is ready — the boundary belongs to the pop, so a
+  // worker woken on the deadline never strands a batch for another wait.
+  RequestQueue queue;
+  const uint64_t t0 = ControlledT0();
   ServeRequest req = MakeRequest(1);
   req.enqueue_ns = t0;
-  batcher.Add(std::move(req), &ready);
+  ASSERT_TRUE(queue.Push(std::move(req)).ok());
 
+  std::vector<ServeRequest> out;
   const uint64_t deadline = t0 + 2000000ull;  // t0 + max_wait exactly
-  batcher.FlushExpired(deadline - 1, &ready);
-  EXPECT_TRUE(ready.empty());  // one ns early: still batching
-  EXPECT_EQ(batcher.pending(), 1u);
-
-  batcher.FlushExpired(deadline, &ready);  // exact equality flushes
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
+  EXPECT_EQ(queue.PopBatch(deadline - 1, 100, &out, 0.002), 0u);
+  EXPECT_EQ(queue.GetStats().depth, 1u);  // one ns early: still lingering
+  EXPECT_EQ(queue.PopBatch(deadline, 100, &out, 0.002), 1u);
+  EXPECT_EQ(queue.GetStats().depth, 0u);
 }
 
-TEST(MicroBatcherTest, ClockBeforeOldestEnqueueDoesNotFlush) {
+TEST(PopBatchWaitTest, ClockBeforeOldestEnqueueIsNotAged) {
   // A clock sampled before the oldest member was enqueued means an age of
-  // zero, not a wrapped uint64_t age that flushes before the linger is up.
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.002;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  const uint64_t t0 = 1000000000ull;
+  // zero, not a wrapped uint64_t age that pops before the linger is up.
+  RequestQueue queue;
+  const uint64_t t0 = ControlledT0();
   ServeRequest req = MakeRequest(1);
   req.enqueue_ns = t0;
-  batcher.Add(std::move(req), &ready);
-  batcher.FlushExpired(t0 - 1000, &ready);
-  EXPECT_TRUE(ready.empty());
-  EXPECT_EQ(batcher.pending(), 1u);
+  ASSERT_TRUE(queue.Push(std::move(req)).ok());
+  std::vector<ServeRequest> out;
+  EXPECT_EQ(queue.PopBatch(t0 - 1000, 100, &out, 0.002), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(queue.GetStats().depth, 1u);
 }
 
-TEST(MicroBatcherTest, SingleRequestBatchIsFlushedByAgeAlone) {
+TEST(PopBatchWaitTest, SingleRequestIsPoppedByAgeAlone) {
   // A lone request must never wait for company: with max_batch far away,
-  // the age trigger alone dispatches a size-1 batch, and the batch
-  // bookkeeping records it as a real (if minimal) batch.
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.001;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  const uint64_t t0 = 5000000000ull;
+  // the age trigger alone pops a size-1 batch.
+  RequestQueue queue;
+  const uint64_t t0 = ControlledT0();
   ServeRequest req = MakeRequest(7, /*snapshot=*/3);
   req.enqueue_ns = t0;
-  batcher.Add(std::move(req), &ready);
-  ASSERT_TRUE(ready.empty());
+  ASSERT_TRUE(queue.Push(std::move(req)).ok());
+  std::vector<ServeRequest> out;
+  ASSERT_EQ(queue.PopBatch(t0 + 1000000ull, 100, &out, 0.001), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].id, 7u);
+  EXPECT_EQ(out[0].query.snapshot_id, 3);
+  EXPECT_EQ(queue.GetStats().depth, 0u);
+}
 
-  batcher.FlushExpired(t0 + 1000000ull, &ready);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].size(), 1u);
-  EXPECT_EQ(ready[0][0].id, 7u);
-  EXPECT_EQ(ready[0][0].query.snapshot_id, 3);
-  EXPECT_EQ(batcher.pending(), 0u);
-  EXPECT_EQ(batcher.stats().batches, 1u);
-  EXPECT_EQ(batcher.stats().batched_requests, 1u);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 1u);
+TEST(PopBatchWaitTest, BlockingWaitEndsOnAgeTimeoutOrClose) {
+  RequestQueue queue;
+  std::vector<ServeRequest> out;
+  // Age: a lone request is popped once it has lingered max_wait, well
+  // before the timeout.
+  ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
+  ASSERT_EQ(queue.PopBatch(TraceRecorder::NowNs(), 100, &out, 0.002, 30.0),
+            1u);
+  EXPECT_GE(out[0].dequeue_ns - out[0].enqueue_ns, 2000000u);
+
+  // Timeout: an empty queue gives up and pops nothing.
+  const uint64_t start = TraceRecorder::NowNs();
+  EXPECT_EQ(queue.PopBatch(start, 100, &out, 0.002, 0.005), 0u);
+  EXPECT_GE(TraceRecorder::NowNs() - start, 5000000u);
+
+  // Close: a waiter with no time limit returns empty-handed.
+  std::thread waiter([&queue] {
+    std::vector<ServeRequest> got;
+    EXPECT_EQ(queue.PopBatch(TraceRecorder::NowNs(), 100, &got, 0.002,
+                             RequestQueue::kWaitForever),
+              0u);
+  });
+  queue.Close();
+  waiter.join();
 }
 
 // --- AutoscaleController -------------------------------------------------
 
 TEST(AutoscaleControllerTest, ClampsToWorkerBounds) {
-  ThreadPool pool(2);
   AutoscaleController::Options opts;
   opts.min_workers = 1;
   opts.max_workers = 4;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController controller(&pool, nullptr, opts);
+  AutoscaleController controller(nullptr, opts);
 
   // A demand burst far beyond max_workers * capacity clamps at the top.
-  EXPECT_EQ(controller.OnInterval(1000.0), 4);
-  EXPECT_EQ(pool.NumThreads(), 4);
+  int workers = controller.OnInterval(1000.0, 2);
+  EXPECT_EQ(workers, 4);
   EXPECT_GE(controller.scale_events(), 1);
 
   // Sustained silence (past the reactive lookback) shrinks to the floor.
-  int workers = 4;
-  for (int i = 0; i < 10; ++i) workers = controller.OnInterval(0.0);
+  for (int i = 0; i < 10; ++i) workers = controller.OnInterval(0.0, workers);
   EXPECT_EQ(workers, 1);
-  EXPECT_EQ(pool.NumThreads(), 1);
   EXPECT_EQ(controller.history().size(), 11u);
 }
 
 TEST(AutoscaleControllerTest, ModerateDemandLandsBetweenBounds) {
-  ThreadPool pool(1);
   AutoscaleController::Options opts;
   opts.min_workers = 1;
   opts.max_workers = 8;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController controller(&pool, nullptr, opts);
+  AutoscaleController controller(nullptr, opts);
   // Reactive provisions recent peak + headroom: 30 req/interval at 10 per
   // worker needs ceil(30 * 1.15 / 10) = 4 workers.
-  int workers = 0;
-  for (int i = 0; i < 3; ++i) workers = controller.OnInterval(30.0);
+  int workers = 1;
+  for (int i = 0; i < 3; ++i) workers = controller.OnInterval(30.0, workers);
   EXPECT_EQ(workers, 4);
 }
 
@@ -429,8 +426,8 @@ TEST(QueryServerTest, UnreachableTargetFailsCleanly) {
 
 // Overload the server from several producers against a tiny queue: every
 // admitted request must reach exactly one terminal state, the shed
-// accounting must add up, and (under TSan) producers, dispatcher, workers
-// and the autoscaler must not race.
+// accounting must add up, and (under TSan) producers, workers and the
+// autoscale review must not race.
 TEST(QueryServerTest, MultiProducerOverloadShedsAndBalances) {
   ServeFixture fx;
   QueryServer::Options opts;
@@ -534,7 +531,7 @@ TEST(QueryServerTest, ServeMetricsAppearInExports) {
 // Stop() calls — owner + destructor + monitoring hooks — must collapse to
 // one shutdown instead of a double join. Before the lifecycle lock,
 // `started_` was a plain bool and two racing Stops both joined the
-// dispatcher.
+// serving threads.
 TEST(QueryServerTest, StatsDuringConcurrentStopIsSafe) {
   ServeFixture fx;
   QueryServer::Options opts;
@@ -640,6 +637,137 @@ TEST(QueryServerTest, BaseSubmitConvenienceUsesDefaultOptions) {
   // The convenience surface has no client_request_id: it stays unset.
   EXPECT_EQ(echoed.load(), 0u);
   EXPECT_EQ(server.Stats().completed, 1u);
+}
+
+// Workers pull from the weighted-fair queue, so a backlog that is admitted
+// but not yet popped is still scheduled: premium requests that arrive after
+// it are served first.
+TEST(QueryServerTest, LaterPremiumArrivalsOvertakeAnAdmittedBacklog) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 1;
+  opts.autoscale_enabled = false;
+  opts.batch.max_batch = 4;
+  opts.batch.max_wait_seconds = 0.0;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  RouteQuery query;
+  query.source = GridNodeId(fx.spec, 0, 0);
+  query.target = GridNodeId(fx.spec, 4, 4);
+  query.k = 2;
+  query.depart_seconds = 8 * 3600.0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_entered = false;
+  bool gate_open = false;
+  std::vector<int> answered_priorities;
+
+  // The gate holds the only worker inside its answer callback.
+  QueryServer::SubmitOptions gate_opts;
+  gate_opts.queue_budget_seconds = 0.0;
+  ASSERT_TRUE(server
+                  .Submit(query,
+                          [&](const RouteAnswer&) {
+                            std::unique_lock<std::mutex> lock(mu);
+                            gate_entered = true;
+                            cv.notify_all();
+                            cv.wait(lock, [&] { return gate_open; });
+                          },
+                          gate_opts)
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gate_entered; });
+  }
+  auto submit = [&](int priority) {
+    QueryServer::SubmitOptions sopts;
+    sopts.queue_budget_seconds = 0.0;
+    sopts.priority = priority;
+    return server.Submit(
+        query,
+        [&, priority](const RouteAnswer& answer) {
+          EXPECT_TRUE(answer.status.ok());
+          std::unique_lock<std::mutex> lock(mu);
+          answered_priorities.push_back(priority);
+        },
+        sopts);
+  };
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(submit(0).ok());
+  // The backlog stays in the fair queue while the only worker is held:
+  // nothing else pops it. Watch for a while (yielding, no sleep) so that
+  // any other consumer of the queue would have the chance to show.
+  const auto watch_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  while (std::chrono::steady_clock::now() < watch_until &&
+         server.Stats().queue_depth == 40) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(server.Stats().queue_depth, 40u);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(submit(2).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    gate_open = true;
+  }
+  cv.notify_all();
+  server.WaitIdle();
+
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_EQ(answered_priorities.size(), 50u);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(answered_priorities[i], 2) << "answer " << i;
+  }
+  // Batch bookkeeping: the gate alone, then twelve full batches and one
+  // batch of two.
+  ServeStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.batches, 14u);
+  EXPECT_EQ(stats.batched_requests, 51u);
+  EXPECT_EQ(stats.max_batch, 4u);
+}
+
+// An idle autoscaled server still reviews: each worker's wait ends by the
+// next review time, so a burst grows the worker set and the quiet that
+// follows parks it back to min_workers.
+TEST(QueryServerTest, AutoscaleGrowsOnABurstAndParksBackWhenIdle) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 1;
+  opts.autoscale_enabled = true;
+  opts.autoscale.min_workers = 1;
+  opts.autoscale.max_workers = 4;
+  opts.autoscale.per_worker_capacity = 20.0;
+  opts.autoscale_interval_seconds = 0.05;
+  opts.queue.capacity = 1024;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto poll_workers = [&server](auto done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (done(server.Stats().workers)) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  QueryServer::SubmitOptions sopts;
+  sopts.queue_budget_seconds = 0.0;
+  for (int i = 0; i < 400; ++i) {
+    RouteQuery query;
+    query.source = GridNodeId(fx.spec, 0, i % 5);
+    query.target = GridNodeId(fx.spec, 4, (i / 5) % 5);
+    query.k = 2;
+    query.depart_seconds = 8 * 3600.0;
+    ASSERT_TRUE(server.Submit(query, nullptr, sopts).ok());
+  }
+  EXPECT_TRUE(poll_workers([](int w) { return w > 1; }))
+      << "the burst never grew the worker set";
+  server.WaitIdle();
+  EXPECT_TRUE(poll_workers([](int w) { return w == 1; }))
+      << "the idle server never parked back to min_workers";
+  EXPECT_GE(server.Stats().scale_events, 2);
+  server.Stop();
+  EXPECT_EQ(server.Stats().completed, 400u);
 }
 
 // --- Multi-tenant scheduling ---------------------------------------------
@@ -917,34 +1045,34 @@ TEST(QueryServerTest, TenantBreakdownSumsToGlobalsAndExports) {
 // --- AutoscaleController satellites --------------------------------------
 
 TEST(AutoscaleControllerTest, ZeroArrivalIntervalsHoldTheFloorQuietly) {
-  ThreadPool pool(3);
   AutoscaleController::Options opts;
   opts.min_workers = 2;
   opts.max_workers = 6;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController controller(&pool, nullptr, opts);
+  AutoscaleController controller(nullptr, opts);
 
   // An idle server: every review interval observes zero arrivals. The
   // controller must neither crash nor thrash — one shrink to the floor,
   // then steady state.
+  int workers = 3;
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(controller.OnInterval(0.0), 2);
+    workers = controller.OnInterval(0.0, workers);
+    EXPECT_EQ(workers, 2);
   }
-  EXPECT_EQ(pool.NumThreads(), 2);
   EXPECT_EQ(controller.scale_events(), 1);
   // Negative arrivals (clock skew artifacts) are clamped to zero demand.
-  EXPECT_EQ(controller.OnInterval(-5.0), 2);
+  EXPECT_EQ(controller.OnInterval(-5.0, workers), 2);
   EXPECT_EQ(controller.history().back(), 0.0);
 }
 
 TEST(AutoscaleControllerTest, HistoryIsBoundedByMaxHistory) {
-  ThreadPool pool(1);
   AutoscaleController::Options opts;
   opts.max_history = 4;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController controller(&pool, nullptr, opts);
+  AutoscaleController controller(nullptr, opts);
+  int workers = 1;
   for (int i = 1; i <= 10; ++i) {
-    controller.OnInterval(static_cast<double>(i));
+    workers = controller.OnInterval(static_cast<double>(i), workers);
   }
   // Only the newest max_history samples survive, oldest evicted first.
   ASSERT_EQ(controller.history().size(), 4u);
@@ -953,21 +1081,20 @@ TEST(AutoscaleControllerTest, HistoryIsBoundedByMaxHistory) {
 }
 
 TEST(AutoscaleControllerTest, ClampBoundariesAreExactAndQuiet) {
-  ThreadPool pool(1);
   AutoscaleController::Options opts;
   opts.min_workers = 2;
   opts.max_workers = 4;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController controller(&pool, nullptr, opts);
+  AutoscaleController controller(nullptr, opts);
 
   // Below the floor's demand: clamps *up* to min_workers, never below.
-  EXPECT_EQ(controller.OnInterval(1.0), 2);
+  EXPECT_EQ(controller.OnInterval(1.0, 1), 2);
   // Far beyond the ceiling: clamps to max_workers exactly.
-  EXPECT_EQ(controller.OnInterval(10000.0), 4);
+  EXPECT_EQ(controller.OnInterval(10000.0, 2), 4);
   const int events_at_max = controller.scale_events();
   // Still beyond the ceiling: the clamped size is unchanged, so no resize
   // and no scale event — the controller does not thrash at the boundary.
-  EXPECT_EQ(controller.OnInterval(20000.0), 4);
+  EXPECT_EQ(controller.OnInterval(20000.0, 4), 4);
   EXPECT_EQ(controller.scale_events(), events_at_max);
 }
 
@@ -1018,25 +1145,24 @@ TEST(AutoscaleControllerTest, ForecastPolicyLeadsAReactiveOneOnARamp) {
   // The pre-scaling claim in miniature: on a steady linear ramp, the Holt
   // trend projects next interval's demand, so the forecast controller
   // requests capacity above the reactive controller's recent-peak view.
-  ThreadPool reactive_pool(1);
-  ThreadPool forecast_pool(1);
   AutoscaleController::Options opts;
   opts.min_workers = 1;
   opts.max_workers = 16;
   opts.per_worker_capacity = 10.0;
-  AutoscaleController reactive(&reactive_pool, nullptr, opts);
-  AutoscaleController forecast(
-      &forecast_pool, std::make_unique<StreamForecastPolicy>(), opts);
+  AutoscaleController reactive(nullptr, opts);
+  AutoscaleController forecast(std::make_unique<StreamForecastPolicy>(), opts);
 
+  int reactive_workers = 1;
+  int forecast_workers = 1;
   for (int i = 1; i <= 20; ++i) {
     const double demand = 10.0 * i;  // +10 per interval, forever upward
-    reactive.OnInterval(demand);
-    forecast.OnInterval(demand);
+    reactive_workers = reactive.OnInterval(demand, reactive_workers);
+    forecast_workers = forecast.OnInterval(demand, forecast_workers);
   }
   // Both saw the same history; the trend-follower provisions further ahead
   // of the latest observation than the peak-chaser on the rising edge.
   EXPECT_GT(forecast.last_capacity(), 200.0);  // above the latest demand
-  EXPECT_GE(forecast_pool.NumThreads(), reactive_pool.NumThreads());
+  EXPECT_GE(forecast_workers, reactive_workers);
 }
 
 }  // namespace
