@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrency layer plus the bench regression gate.
 # Sanitizer runs build the executor, fault-injection, streaming, ingest/WAL,
-# trace and routing tests under ThreadSanitizer, AddressSanitizer and
-# UndefinedBehaviorSanitizer and fail on any report
+# trace, routing and histogram cost-kernel tests under ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer and fail on any report
 # (multi-producer StreamBuffer ingestion and the trace ring are exactly
-# where TSan earns its keep). Run from anywhere; builds land in build-tsan/,
+# where TSan earns its keep; the convolution kernel's raw bin indexing and
+# clamp are where ASan and UBSan do). Run from anywhere; builds land in build-tsan/,
 # build-asan/ and build-ubsan/ next to the normal build/.
 #
 #   scripts/check.sh              # all three sanitizers
@@ -31,7 +32,9 @@ GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              serve_trace_test health_test ingest_wal_test tick_parser_test
              net_wire_test net_test shard_test shard_equivalence_test
              load_test flight_recorder_test debug_endpoint_test
-             spatial_test k_shortest_paths_test)
+             spatial_test k_shortest_paths_test histogram_test
+             property_test path_cost_cache_test uncertainty_test
+             cost_kernel_test)
 
 for SAN in "${SANITIZERS[@]}"; do
   case "$SAN" in

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace tsdm {
 
@@ -67,20 +69,27 @@ void Histogram::Add(double value, double weight) {
   total_ += weight;
 }
 
+// The readers below inline BinMass and BinCenter with the width computed
+// once per call: the same expressions in the same order, so the same bits.
+
 double Histogram::Mean() const {
   if (total_ <= 0.0) return 0.0;
+  const double w = BinWidth();
   double acc = 0.0;
-  for (int b = 0; b < NumBins(); ++b) acc += BinMass(b) * BinCenter(b);
+  for (int b = 0; b < NumBins(); ++b) {
+    acc += (mass_[b] / total_) * (lo_ + (b + 0.5) * w);
+  }
   return acc;
 }
 
 double Histogram::Variance() const {
   if (total_ <= 0.0) return 0.0;
-  double m = Mean();
+  const double m = Mean();
+  const double w = BinWidth();
   double acc = 0.0;
   for (int b = 0; b < NumBins(); ++b) {
-    double d = BinCenter(b) - m;
-    acc += BinMass(b) * d * d;
+    double d = (lo_ + (b + 0.5) * w) - m;
+    acc += (mass_[b] / total_) * d * d;
   }
   return acc;
 }
@@ -94,10 +103,10 @@ double Histogram::Cdf(double x) const {
   double w = BinWidth();
   int b = std::clamp(static_cast<int>((x - lo_) / w), 0, NumBins() - 1);
   double acc = 0.0;
-  for (int i = 0; i < b; ++i) acc += BinMass(i);
+  for (int i = 0; i < b; ++i) acc += mass_[i] / total_;
   // Linear interpolation within the bin.
   double frac = (x - (lo_ + b * w)) / w;
-  acc += BinMass(b) * std::clamp(frac, 0.0, 1.0);
+  acc += (mass_[b] / total_) * std::clamp(frac, 0.0, 1.0);
   return acc;
 }
 
@@ -107,7 +116,7 @@ double Histogram::Quantile(double q) const {
   double acc = 0.0;
   double w = BinWidth();
   for (int b = 0; b < NumBins(); ++b) {
-    double m = BinMass(b);
+    double m = mass_[b] / total_;
     if (acc + m >= q) {
       double frac = m > 0.0 ? (q - acc) / m : 0.0;
       return lo_ + (b + frac) * w;
@@ -135,17 +144,42 @@ Histogram Histogram::Convolve(const Histogram& other, int result_bins) const {
   double new_lo = lo_ + other.lo_;
   double new_hi = hi_ + other.hi_;
   Result<Histogram> out = Create(new_lo, new_hi, result_bins);
-  Histogram result = out.ok() ? *out : PointMass(new_lo);
+  Histogram result = out.ok() ? std::move(out).value() : PointMass(new_lo);
   if (total_ <= 0.0 || other.total_ <= 0.0) return result;
+  // Every bin pair adds mass BinMass(a) * other.BinMass(b) at
+  // BinCenter(a) + other.BinCenter(b), exactly as result.Add would; the
+  // per-call and per-bin terms are computed once instead of per pair.
+  struct Term {
+    double mass;
+    double center;
+  };
+  std::vector<Term> terms;
+  terms.reserve(other.mass_.size());
+  const double wb = other.BinWidth();
+  for (int b = 0; b < other.NumBins(); ++b) {
+    double pb = other.mass_[b] / other.total_;
+    if (pb <= 0.0) continue;
+    terms.push_back({pb, other.lo_ + (b + 0.5) * wb});
+  }
+  const double wa = BinWidth();
+  const double rlo = result.lo_;
+  const double rw = result.BinWidth();
+  const int rlast = result.NumBins() - 1;
+  double* rmass = result.mass_.data();
+  double rtotal = result.total_;
   for (int a = 0; a < NumBins(); ++a) {
-    double pa = BinMass(a);
+    double pa = mass_[a] / total_;
     if (pa <= 0.0) continue;
-    for (int b = 0; b < other.NumBins(); ++b) {
-      double pb = other.BinMass(b);
-      if (pb <= 0.0) continue;
-      result.Add(BinCenter(a) + other.BinCenter(b), pa * pb);
+    double ca = lo_ + (a + 0.5) * wa;
+    for (const Term& t : terms) {
+      int idx = std::clamp(static_cast<int>((ca + t.center - rlo) / rw), 0,
+                           rlast);
+      double w = pa * t.mass;
+      rmass[idx] += w;
+      rtotal += w;
     }
   }
+  result.total_ = rtotal;
   return result;
 }
 
@@ -170,23 +204,38 @@ bool Histogram::DominatesForMinimization(const Histogram& other,
   // P(X <= x) at every mass point of either histogram. This guarantees
   // that pruning never removes an expected-utility optimum for any
   // monotone utility (the correctness contract of FSD pruning).
-  std::vector<double> grid;
-  grid.reserve(NumBins() + other.NumBins());
-  for (int b = 0; b < NumBins(); ++b) grid.push_back(BinCenter(b));
-  for (int b = 0; b < other.NumBins(); ++b) grid.push_back(other.BinCenter(b));
+  // Each histogram's centers and masses are computed once, not per grid
+  // point; the values and the summation order are BinCenter/BinMass's.
+  struct Steps {
+    std::vector<double> center;
+    std::vector<double> mass;
+  };
+  auto steps_of = [](const Histogram& h) {
+    Steps s;
+    const double w = h.BinWidth();
+    for (int b = 0; b < h.NumBins(); ++b) {
+      s.center.push_back(h.lo_ + (b + 0.5) * w);
+      s.mass.push_back(h.BinMass(b));
+    }
+    return s;
+  };
+  const Steps mine = steps_of(*this);
+  const Steps theirs = steps_of(other);
+  std::vector<double> grid = mine.center;
+  grid.insert(grid.end(), theirs.center.begin(), theirs.center.end());
   std::sort(grid.begin(), grid.end());
 
-  auto step_cdf = [](const Histogram& h, double x) {
+  auto step_cdf = [](const Steps& s, double x) {
     double acc = 0.0;
-    for (int b = 0; b < h.NumBins(); ++b) {
-      if (h.BinCenter(b) <= x + 1e-12) acc += h.BinMass(b);
+    for (size_t b = 0; b < s.center.size(); ++b) {
+      if (s.center[b] <= x + 1e-12) acc += s.mass[b];
     }
     return acc;
   };
   bool strict = false;
   for (double x : grid) {
-    double fa = step_cdf(*this, x);
-    double fb = step_cdf(other, x);
+    double fa = step_cdf(mine, x);
+    double fb = step_cdf(theirs, x);
     if (fa < fb - tolerance) return false;
     if (fa > fb + tolerance) strict = true;
   }

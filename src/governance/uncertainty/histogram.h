@@ -56,6 +56,15 @@ class Histogram {
   /// Distribution of X + Y assuming independence, discretized onto
   /// `result_bins` bins. This is the composition step of edge-centric cost
   /// models.
+  ///
+  /// Contract: the result is bit for bit that of the reference loop
+  /// "for each bin a, b with positive mass: result.Add(BinCenter(a) +
+  /// other.BinCenter(b), BinMass(a) * other.BinMass(b))", with a outer
+  /// and b inner. The kernel only hoists per-call and per-bin terms out of
+  /// that loop; do not reassociate its sums, replace a division by a
+  /// reciprocal multiply, or build it with FMA contraction or -ffast-math,
+  /// since each changes the served answers' bits. A result_bins < 1 gives
+  /// a point mass at lo() + other.lo() plus the composed mass.
   Histogram Convolve(const Histogram& other, int result_bins = 64) const;
 
   /// Returns a copy translated by `offset`.

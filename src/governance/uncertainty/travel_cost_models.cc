@@ -24,8 +24,7 @@ Status EdgeCentricModel::Build(int bins) {
   return Status::OK();
 }
 
-Result<Histogram> EdgeCentricModel::EdgeDistribution(
-    int edge_id, double time_of_day_seconds) const {
+Status EdgeCentricModel::CheckEdge(int edge_id) const {
   if (edge_id < 0 || edge_id >= static_cast<int>(edges_.size())) {
     return Status::OutOfRange("EdgeCentricModel: edge id out of range");
   }
@@ -33,6 +32,12 @@ Result<Histogram> EdgeCentricModel::EdgeDistribution(
     return Status::NotFound("EdgeCentricModel: edge " +
                             std::to_string(edge_id) + " has no observations");
   }
+  return Status::OK();
+}
+
+Result<Histogram> EdgeCentricModel::EdgeDistribution(
+    int edge_id, double time_of_day_seconds) const {
+  TSDM_RETURN_IF_ERROR(CheckEdge(edge_id));
   return edges_[edge_id].DistributionAt(time_of_day_seconds);
 }
 
@@ -42,18 +47,17 @@ Result<Histogram> EdgeCentricModel::PathCostDistribution(
   if (edge_path.empty()) {
     return Status::InvalidArgument("PathCostDistribution: empty path");
   }
-  Result<Histogram> first = EdgeDistribution(edge_path[0], depart_seconds);
-  if (!first.ok()) return first;
-  Histogram acc = *first;
+  TSDM_RETURN_IF_ERROR(CheckEdge(edge_path[0]));
+  Histogram acc = edges_[edge_path[0]].DistributionAt(depart_seconds);
   double elapsed = acc.Mean();
   for (size_t i = 1; i < edge_path.size(); ++i) {
     // Advance the time-of-day by the expected elapsed time so later edges
     // use the congestion regime the vehicle will actually encounter.
-    Result<Histogram> next =
-        EdgeDistribution(edge_path[i], depart_seconds + elapsed);
-    if (!next.ok()) return next;
-    elapsed += next->Mean();
-    acc = acc.Convolve(*next, result_bins);
+    TSDM_RETURN_IF_ERROR(CheckEdge(edge_path[i]));
+    const Histogram& next =
+        edges_[edge_path[i]].DistributionAt(depart_seconds + elapsed);
+    elapsed += next.Mean();
+    acc = acc.Convolve(next, result_bins);
   }
   return acc;
 }

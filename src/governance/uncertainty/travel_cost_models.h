@@ -46,6 +46,9 @@ class EdgeCentricModel {
                                          int result_bins = 64) const;
 
  private:
+  /// OutOfRange for an unknown edge id, NotFound for an unobserved edge.
+  Status CheckEdge(int edge_id) const;
+
   std::vector<TimeVaryingDistribution> edges_;
   std::vector<bool> observed_;
 };

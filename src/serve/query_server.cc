@@ -44,6 +44,11 @@ Status QueryServer::Start() {
   if (started_) {
     return Status::FailedPrecondition("QueryServer: already started");
   }
+  // Stop closes the queue for good (it answered everything queued as
+  // shed), so a stopped server cannot serve again.
+  if (queue_.closed()) {
+    return Status::FailedPrecondition("QueryServer: stopped, cannot restart");
+  }
   started_ = true;
   next_review_ns_.store(
       TraceRecorder::NowNs() +

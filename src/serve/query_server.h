@@ -115,7 +115,7 @@ class QueryServer : public QueryService {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Spawns `initial_workers` workers. FailedPrecondition if already
-  /// started.
+  /// started, or once Stop has run: a stopped server does not restart.
   Status Start();
 
   /// Closes the queue (draining queued requests as shed), lets each worker

@@ -600,10 +600,34 @@ TEST(QueryServerTest, StatsDuringConcurrentStopIsSafe) {
             stats.admitted);
   EXPECT_LE(stats.completed + stats.failed + stats.shed_expired,
             stats.admitted);
-  // Idempotent after the race, and restartable.
+  // Idempotent after the race; a stopped server refuses to restart.
   server.Stop();
+  EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+}
+
+// Stop closes the queue for good: a later Submit is shed at admission with
+// FailedPrecondition and its callback is never retained, and Start cannot
+// bring up workers that would find the queue closed and exit at once.
+TEST(QueryServerTest, StoppedServerRejectsSubmitAndRestart) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.autoscale_enabled = false;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
   ASSERT_TRUE(server.Start().ok());
   server.Stop();
+
+  std::atomic<int> callbacks{0};
+  RouteQuery query;
+  query.source = GridNodeId(fx.spec, 0, 0);
+  query.target = GridNodeId(fx.spec, 4, 4);
+  Status st = server.Submit(query, [&](const RouteAnswer&) { ++callbacks; });
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
+  st = server.Submit(query, [&](const RouteAnswer&) { ++callbacks; });
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+  EXPECT_EQ(callbacks.load(), 0);
 }
 
 // The deprecated pre-SubmitOptions 3-arg (trailing double) overload was

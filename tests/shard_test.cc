@@ -278,6 +278,18 @@ TEST(ShardRouterTest, RejectsWhenNotRunning) {
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
+// A stopped shard's queue stays closed, so a router restart would bring up
+// shards that shed everything; Start surfaces the shards' refusal instead.
+TEST(ShardRouterTest, StoppedRouterDoesNotRestart) {
+  ShardFixture fx;
+  ShardRouter router(&fx.net, fx.BaseModel(), fx.RouterOptions(2));
+  ASSERT_TRUE(router.Start().ok());
+  router.Stop();
+  EXPECT_EQ(router.Start().code(), StatusCode::kFailedPrecondition);
+  Status st = router.Submit(MakeQuery(0, 5), [](const RouteAnswer&) {});
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(ShardRouterTest, ForwardsSameOwnerAndScattersCrossOwner) {
   ShardFixture fx;
   ShardRouter router(&fx.net, fx.BaseModel(), fx.RouterOptions(4));
