@@ -1,7 +1,5 @@
 #include "src/decision/routing/departure_planner.h"
 
-#include "src/spatial/shortest_path.h"
-
 namespace tsdm {
 
 Result<DeparturePlanner::Plan> DeparturePlanner::BestPlan(
@@ -10,8 +8,7 @@ Result<DeparturePlanner::Plan> DeparturePlanner::BestPlan(
     return Status::InvalidArgument("BestPlan: empty arrival window");
   }
   Result<std::vector<Path>> routes =
-      KShortestPaths(*network_, source, target, options_.route_candidates,
-                     FreeFlowTimeCost(*network_));
+      routes_.KShortest(source, target, options_.route_candidates);
   if (!routes.ok()) return routes.status();
 
   Plan best;

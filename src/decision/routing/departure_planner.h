@@ -5,6 +5,7 @@
 
 #include "src/common/status.h"
 #include "src/decision/routing/stochastic_router.h"
+#include "src/spatial/shortest_path.h"
 
 namespace tsdm {
 
@@ -32,7 +33,7 @@ class DeparturePlanner {
   /// The network must outlive the planner.
   DeparturePlanner(const RoadNetwork* network, PathCostModel cost_model,
                    Options options)
-      : network_(network),
+      : routes_(network, FreeFlowTimeCost(*network)),
         cost_model_(std::move(cost_model)),
         options_(options) {}
 
@@ -42,7 +43,7 @@ class DeparturePlanner {
                         double window_end) const;
 
  private:
-  const RoadNetwork* network_;
+  RouteEnumerator routes_;  ///< free-flow candidates
   PathCostModel cost_model_;
   Options options_;
 };

@@ -4,8 +4,7 @@ namespace tsdm {
 
 Result<std::vector<RouteCandidate>> StochasticRouter::Candidates(
     int source, int target, int k, double depart_seconds) const {
-  Result<std::vector<Path>> paths = KShortestPaths(
-      *network_, source, target, k, FreeFlowTimeCost(*network_));
+  Result<std::vector<Path>> paths = routes_.KShortest(source, target, k);
   if (!paths.ok()) return paths.status();
 
   std::vector<RouteCandidate> candidates;

@@ -30,7 +30,8 @@ class StochasticRouter {
  public:
   /// The network must outlive the router.
   StochasticRouter(const RoadNetwork* network, PathCostModel cost_model)
-      : network_(network), cost_model_(std::move(cost_model)) {}
+      : routes_(network, FreeFlowTimeCost(*network)),
+        cost_model_(std::move(cost_model)) {}
 
   /// Enumerates up to k candidate routes with cost distributions.
   /// Candidates whose cost the model cannot estimate are skipped; fails if
@@ -48,7 +49,7 @@ class StochasticRouter {
                            const UtilityFunction& utility);
 
  private:
-  const RoadNetwork* network_;
+  RouteEnumerator routes_;  ///< free-flow candidates
   PathCostModel cost_model_;
 };
 

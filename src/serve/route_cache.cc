@@ -5,7 +5,8 @@
 namespace tsdm {
 
 RouteCache::RouteCache(const RoadNetwork* network, size_t entries)
-    : network_(network), entries_(std::max<size_t>(1, entries)) {}
+    : enumerator_(network, FreeFlowTimeCost(*network)),
+      entries_(std::max<size_t>(1, entries)) {}
 
 Result<std::vector<Path>> RouteCache::Get(int source, int target, int k,
                                           const TraceContext& ctx) {
@@ -21,8 +22,7 @@ Result<std::vector<Path>> RouteCache::Get(int source, int target, int k,
   // Only a route-LRU miss shows up in the trace: warm requests skip Yen's
   // algorithm entirely, and their exec span shrinking is the visible proof.
   TraceSpan span("serve/enumerate_routes", ctx);
-  Result<std::vector<Path>> paths = KShortestPaths(
-      *network_, source, target, k, FreeFlowTimeCost(*network_));
+  Result<std::vector<Path>> paths = enumerator_.KShortest(source, target, k);
   if (!paths.ok()) return paths.status();
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -19,9 +19,10 @@ namespace tsdm {
 /// the K-shortest computation is departure-time independent, so one Yen
 /// run is shareable across every query of an OD pair. Extracted from
 /// QueryServer so the shard router enumerates candidates through the
-/// *identical* code path (same KShortestPaths call, same free-flow edge
-/// cost, same trace span) — a precondition for sharded answers being
-/// bitwise-equal to single-node ones.
+/// *identical* code path (the same free-flow RouteEnumerator, the same
+/// trace span) — a precondition for sharded answers being bitwise-equal
+/// to single-node ones. A route-LRU miss still reuses the enumerator's
+/// clamped weights and cached reverse tree for its target.
 ///
 /// Thread-safe: one mutex guards the LRU; the enumeration itself runs
 /// unlocked, and a racing duplicate insert refreshes instead of doubling.
@@ -61,7 +62,7 @@ class RouteCache {
     }
   };
 
-  const RoadNetwork* network_;
+  RouteEnumerator enumerator_;
   size_t entries_;
   mutable std::mutex mu_;
   std::list<std::pair<Key, std::vector<Path>>> lru_;

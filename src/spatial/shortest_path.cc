@@ -31,26 +31,39 @@ Status CheckNodes(const RoadNetwork& network, int source, int target,
   return Status::OK();
 }
 
+Status CheckQuery(const RoadNetwork& network, int source, int target,
+                  int k) {
+  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
+  return CheckNodes(network, source, target, "KShortestPaths");
+}
+
+/// Edge costs clamped to >= 0, read once per search kernel's weights.
+std::vector<double> ClampedWeights(const RoadNetwork& network,
+                                   const EdgeCostFn& cost) {
+  std::vector<double> weight(network.NumEdges());
+  for (size_t e = 0; e < weight.size(); ++e) {
+    weight[e] = std::max(0.0, cost(static_cast<int>(e)));
+  }
+  return weight;
+}
+
 /// The one label-setting search behind ShortestPath, AStarPath,
-/// ShortestPathTree and every Yen spur. Edge costs are clamped to >= 0 once
-/// up front. Bans and per-search labels are epoch stamps, so forgetting them
+/// ShortestPathTree and every Yen spur, over clamped weights it borrows.
+/// Bans and per-search labels are epoch stamps, so forgetting them
 /// between spur searches is one increment, and the label and heap buffers
 /// are reused rather than reallocated per search.
 class SearchKernel {
  public:
-  SearchKernel(const RoadNetwork& network, const EdgeCostFn& cost)
+  /// `weight` (from ClampedWeights) must outlive the kernel.
+  SearchKernel(const RoadNetwork& network, const std::vector<double>& weight)
       : network_(network),
-        weight_(network.NumEdges()),
+        weight_(weight),
         edge_ban_(network.NumEdges(), 0),
         node_ban_(network.NumNodes(), 0),
         reached_(network.NumNodes(), 0),
         settled_(network.NumNodes(), 0),
         dist_(network.NumNodes(), kInf),
-        parent_edge_(network.NumNodes(), -1) {
-    for (size_t e = 0; e < weight_.size(); ++e) {
-      weight_[e] = std::max(0.0, cost(static_cast<int>(e)));
-    }
-  }
+        parent_edge_(network.NumNodes(), -1) {}
 
   double weight(int eid) const { return weight_[eid]; }
 
@@ -144,7 +157,7 @@ class SearchKernel {
   }
 
   const RoadNetwork& network_;
-  std::vector<double> weight_;      ///< clamped edge costs
+  const std::vector<double>& weight_;
   std::vector<uint32_t> edge_ban_;  ///< == ban_epoch_: edge removed
   std::vector<uint32_t> node_ban_;  ///< == ban_epoch_: node removed
   std::vector<uint32_t> reached_;   ///< == search_epoch_: dist_ is valid
@@ -156,48 +169,14 @@ class SearchKernel {
   uint32_t search_epoch_ = 0;
 };
 
-}  // namespace
-
-EdgeCostFn FreeFlowTimeCost(const RoadNetwork& network) {
-  return [&network](int eid) { return network.FreeFlowTime(eid); };
-}
-
-EdgeCostFn LengthCost(const RoadNetwork& network) {
-  return [&network](int eid) { return network.edge(eid).length; };
-}
-
-Result<Path> ShortestPath(const RoadNetwork& network, int source, int target,
-                          const EdgeCostFn& cost) {
-  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "ShortestPath"));
-  return SearchKernel(network, cost).Search(source, target, kZeroPotential);
-}
-
-std::vector<double> ShortestPathTree(const RoadNetwork& network, int source,
-                                     const EdgeCostFn& cost) {
-  return SearchKernel(network, cost).Tree(source, /*reverse=*/false);
-}
-
-Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
-                       const EdgeCostFn& cost, double max_speed) {
-  if (max_speed <= 0.0) {
-    return Status::InvalidArgument("AStarPath: max_speed must be positive");
-  }
-  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "AStarPath"));
-  return SearchKernel(network, cost).Search(source, target, [&](int node) {
-    return network.NodeDistance(node, target) / max_speed;
-  });
-}
-
-Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
-                                         int source, int target, int k,
-                                         const EdgeCostFn& cost) {
-  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
-  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "KShortestPaths"));
-  SearchKernel kernel(network, cost);
-  // Exact free-graph distance to the target. Bans only remove edges, so it
-  // stays a consistent A* potential for every spur search.
-  const std::vector<double> to_target = kernel.Tree(target, /*reverse=*/true);
+/// Yen's loop on `kernel`, with `to_target` (the exact free-graph distance
+/// to `target`) as every search's potential. Bans only remove edges, so it
+/// stays a consistent A* potential for every spur search.
+Result<std::vector<Path>> Yen(SearchKernel& kernel, int source, int target,
+                              int k, const std::vector<double>& to_target) {
   const auto potential = [&to_target](int node) { return to_target[node]; };
+  // A kernel that already searched may hold bans from its last spur.
+  kernel.ClearBans();
   Result<Path> first = kernel.Search(source, target, potential);
   if (!first.ok()) return first.status();
 
@@ -257,6 +236,112 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
     candidates.erase(best);
   }
   return result;
+}
+
+}  // namespace
+
+EdgeCostFn FreeFlowTimeCost(const RoadNetwork& network) {
+  return [&network](int eid) { return network.FreeFlowTime(eid); };
+}
+
+EdgeCostFn LengthCost(const RoadNetwork& network) {
+  return [&network](int eid) { return network.edge(eid).length; };
+}
+
+Result<Path> ShortestPath(const RoadNetwork& network, int source, int target,
+                          const EdgeCostFn& cost) {
+  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "ShortestPath"));
+  const std::vector<double> weight = ClampedWeights(network, cost);
+  return SearchKernel(network, weight).Search(source, target, kZeroPotential);
+}
+
+std::vector<double> ShortestPathTree(const RoadNetwork& network, int source,
+                                     const EdgeCostFn& cost) {
+  const std::vector<double> weight = ClampedWeights(network, cost);
+  return SearchKernel(network, weight).Tree(source, /*reverse=*/false);
+}
+
+Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
+                       const EdgeCostFn& cost, double max_speed) {
+  if (max_speed <= 0.0) {
+    return Status::InvalidArgument("AStarPath: max_speed must be positive");
+  }
+  TSDM_RETURN_IF_ERROR(CheckNodes(network, source, target, "AStarPath"));
+  const std::vector<double> weight = ClampedWeights(network, cost);
+  return SearchKernel(network, weight).Search(source, target, [&](int node) {
+    return network.NodeDistance(node, target) / max_speed;
+  });
+}
+
+Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
+                                         int source, int target, int k,
+                                         const EdgeCostFn& cost) {
+  TSDM_RETURN_IF_ERROR(CheckQuery(network, source, target, k));
+  const std::vector<double> weight = ClampedWeights(network, cost);
+  SearchKernel kernel(network, weight);
+  return Yen(kernel, source, target, k, kernel.Tree(target, /*reverse=*/true));
+}
+
+RouteEnumerator::RouteEnumerator(const RoadNetwork* network,
+                                 const EdgeCostFn& cost)
+    : network_(network),
+      weight_(ClampedWeights(*network, cost)),
+      capacity_(std::max<size_t>(
+          1, kTreeBudgetBytes /
+                 (sizeof(double) * std::max<size_t>(1, network->NumNodes())))),
+      tree_(network->NumNodes()),
+      last_use_(network->NumNodes(), 0) {}
+
+Result<std::vector<Path>> RouteEnumerator::KShortest(int source, int target,
+                                                     int k) const {
+  TSDM_RETURN_IF_ERROR(CheckQuery(*network_, source, target, k));
+  Tree tree;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++enumerations_;
+    tree = tree_[target];
+    if (tree) {
+      ++tree_hits_;
+      last_use_[target] = ++clock_;
+    }
+  }
+  SearchKernel kernel(*network_, weight_);
+  if (!tree) {
+    auto built = std::make_shared<const std::vector<double>>(
+        kernel.Tree(target, /*reverse=*/true));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!tree_[target]) {
+      if (resident_ == capacity_) {
+        // Evict the least recently used tree: a linear scan, paid only on
+        // a miss, next to the full reverse Dijkstra that the miss costs.
+        size_t victim = tree_.size();
+        for (size_t v = 0; v < tree_.size(); ++v) {
+          if (tree_[v] && (victim == tree_.size() ||
+                           last_use_[v] < last_use_[victim])) {
+            victim = v;
+          }
+        }
+        tree_[victim].reset();
+        --resident_;
+      }
+      tree_[target] = built;
+      ++resident_;
+    }
+    // A racing caller's equal tree may already be cached; either will do.
+    tree = tree_[target];
+    last_use_[target] = ++clock_;
+  }
+  return Yen(kernel, source, target, k, *tree);
+}
+
+RouteEnumerator::Stats RouteEnumerator::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats s;
+  s.enumerations = enumerations_;
+  s.tree_hits = tree_hits_;
+  s.trees = resident_;
+  s.capacity = capacity_;
+  return s;
 }
 
 }  // namespace tsdm

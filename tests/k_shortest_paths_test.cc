@@ -1,12 +1,14 @@
 // Yen's K-shortest-paths: golden fingerprints on jittered grids (the served
 // answers depend on them bit for bit), a brute-force oracle on tie-heavy
-// lattices, and the degenerate inputs.
+// lattices, the degenerate inputs, and RouteEnumerator (cached reverse
+// trees) against the one-shot KShortestPaths, bit for bit.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -242,6 +244,154 @@ TEST(KShortestPathsEdgeCases, OutOfRangeNodes) {
   RoadNetwork net = Diamond();
   EXPECT_FALSE(KShortestPaths(net, -1, 3, 2, FreeFlowTimeCost(net)).ok());
   EXPECT_FALSE(KShortestPaths(net, 0, 4, 2, FreeFlowTimeCost(net)).ok());
+}
+
+/// Same status code, and on success the same paths with the same cost bits.
+bool SameAnswer(const Result<std::vector<Path>>& a,
+                const Result<std::vector<Path>>& b) {
+  if (a.ok() != b.ok()) return false;
+  if (!a.ok()) return a.status().code() == b.status().code();
+  if (a->size() != b->size()) return false;
+  for (size_t i = 0; i < a->size(); ++i) {
+    const Path& p = (*a)[i];
+    const Path& q = (*b)[i];
+    if (p.nodes != q.nodes || p.edges != q.edges ||
+        std::memcmp(&p.cost, &q.cost, sizeof(p.cost)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// One enumerator answers 2,000 queries back to back, so each call runs
+// right after another call's spurs, mostly on a cached tree: a stale ban
+// or a tree that differs from a fresh reverse search would change a path.
+TEST(RouteEnumeratorTest, MatchesKShortestPathsOnRepeatedTargets) {
+  RoadNetwork net = SeededGrid(24, 2401);
+  const int n = static_cast<int>(net.NumNodes());
+  RouteEnumerator enumerator(&net, FreeFlowTimeCost(net));
+  Rng pairs(2403);
+  std::vector<int> targets;
+  for (int i = 0; i < 64; ++i) targets.push_back(pairs.Int(0, n - 1));
+  const int ks[] = {1, 4, 16};
+  int mismatches = 0;
+  for (int q = 0; q < 2000; ++q) {
+    const int s = pairs.Int(0, n - 1);
+    const int t = targets[pairs.Int(0, 63)];
+    const int k = ks[q % 3];
+    if (!SameAnswer(enumerator.KShortest(s, t, k),
+                    KShortestPaths(net, s, t, k, FreeFlowTimeCost(net)))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  const RouteEnumerator::Stats stats = enumerator.stats();
+  EXPECT_EQ(stats.enumerations, 2000u);
+  EXPECT_EQ(stats.enumerations - stats.tree_hits, stats.trees);
+  EXPECT_LE(stats.trees, 64u);
+  EXPECT_EQ(stats.capacity,
+            RouteEnumerator::kTreeBudgetBytes / (sizeof(double) * n));
+}
+
+// A 30x30 grid has more targets (900) than the byte budget holds trees
+// (582), so cycling through every target evicts and rebuilds.
+TEST(RouteEnumeratorTest, EvictsLeastRecentlyUsedTreeWithinBudget) {
+  RoadNetwork net = SeededGrid(30, 3001);
+  const int n = static_cast<int>(net.NumNodes());
+  RouteEnumerator enumerator(&net, FreeFlowTimeCost(net));
+  const size_t capacity = enumerator.stats().capacity;
+  ASSERT_LT(capacity, static_cast<size_t>(n));
+  Rng sources(3002);
+  int mismatches = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int t = 0; t < n; ++t) {
+      const int s = sources.Int(0, n - 1);
+      if (!SameAnswer(enumerator.KShortest(s, t, 2),
+                      KShortestPaths(net, s, t, 2, FreeFlowTimeCost(net)))) {
+        ++mismatches;
+      }
+      ASSERT_LE(enumerator.stats().trees, capacity);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // A cyclic scan longer than the LRU never finds its tree: the tree it
+  // wants is always the one evicted longest ago.
+  EXPECT_EQ(enumerator.stats().tree_hits, 0u);
+  EXPECT_EQ(enumerator.stats().trees, capacity);
+  // The most recent target is still resident.
+  ASSERT_TRUE(enumerator.KShortest(0, n - 1, 2).ok());
+  EXPECT_EQ(enumerator.stats().tree_hits, 1u);
+}
+
+TEST(RouteEnumeratorTest, ErrorStatusesMatchKShortestPaths) {
+  RoadNetwork net = Diamond();
+  RouteEnumerator enumerator(&net, FreeFlowTimeCost(net));
+  const struct {
+    int source, target, k;
+    StatusCode code;
+  } cases[] = {
+      {0, 3, 0, StatusCode::kInvalidArgument},
+      {0, 3, -2, StatusCode::kInvalidArgument},
+      {-1, 3, 2, StatusCode::kOutOfRange},
+      {0, 4, 2, StatusCode::kOutOfRange},
+      {3, 0, 4, StatusCode::kNotFound},  // no edge leaves node 3
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE("s=" + std::to_string(c.source) +
+                 " t=" + std::to_string(c.target) +
+                 " k=" + std::to_string(c.k));
+    // Twice: the second NotFound is answered on the cached tree.
+    for (int round = 0; round < 2; ++round) {
+      Result<std::vector<Path>> got =
+          enumerator.KShortest(c.source, c.target, c.k);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), c.code);
+      EXPECT_TRUE(SameAnswer(got, KShortestPaths(net, c.source, c.target,
+                                                 c.k, FreeFlowTimeCost(net))));
+    }
+  }
+}
+
+// Four threads share one enumerator over the same query list from
+// different offsets, so they race on the same targets' trees and, with
+// more targets than the budget holds, on evictions too.
+TEST(RouteEnumeratorTest, ThreadsShareOneEnumerator) {
+  RoadNetwork net = SeededGrid(30, 3003);
+  const int n = static_cast<int>(net.NumNodes());
+  Rng pairs(3004);
+  struct Query {
+    int source, target;
+    Result<std::vector<Path>> want;
+  };
+  std::vector<Query> queries;
+  for (int q = 0; q < 700; ++q) {
+    const int s = pairs.Int(0, n - 1);
+    const int t = pairs.Int(0, n - 1);
+    queries.push_back({s, t, KShortestPaths(net, s, t, 2,
+                                            FreeFlowTimeCost(net))});
+  }
+  RouteEnumerator enumerator(&net, FreeFlowTimeCost(net));
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const Query& q = queries[(i + th * queries.size() / kThreads) %
+                                 queries.size()];
+        if (!SameAnswer(enumerator.KShortest(q.source, q.target, 2),
+                        q.want)) {
+          ++mismatches[th];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int th = 0; th < kThreads; ++th) EXPECT_EQ(mismatches[th], 0);
+  const RouteEnumerator::Stats stats = enumerator.stats();
+  EXPECT_EQ(stats.enumerations, kThreads * queries.size());
+  EXPECT_GT(stats.tree_hits, 0u);
+  EXPECT_LE(stats.trees, stats.capacity);
 }
 
 }  // namespace
