@@ -84,9 +84,10 @@ class QueryService {
 /// single-node worker path and the shard router's scatter merge so both
 /// produce bitwise-identical decisions. Fills the decision fields of
 /// *answer (status, route, cost_mean_seconds, on_time_probability,
-/// num_candidates) from candidate routes and their cost results:
-/// score = P(arrival <= deadline) when a deadline is set, -mean cost
-/// otherwise; candidates without a cost distribution are skipped;
+/// num_candidates) from candidate routes and their travel-time
+/// distributions: score = P(travel time <= arrival_deadline_seconds -
+/// depart_seconds) when a deadline is set (> 0), -mean cost otherwise;
+/// candidates without a cost distribution are skipped;
 /// NotFound when none scored. Tie-break is stable — strict `>` scanning
 /// in candidate order, so the lowest-indexed best candidate wins and
 /// no completion/merge order can change the answer.

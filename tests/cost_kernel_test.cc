@@ -390,7 +390,10 @@ TEST(CostKernelGoldenTest, ServedColdAnswers) {
     fp.AddDouble(a.cost_mean_seconds);
     fp.AddDouble(a.on_time_probability);
   }
-  EXPECT_EQ(fp.value(), 0x3b5b139882e47ac5ULL);
+  // Re-captured when ScoreCandidates began scoring P(travel time <=
+  // deadline - depart) instead of reading the clock-time deadline as a
+  // travel time; 537 of the 2,000 answers changed route.
+  EXPECT_EQ(fp.value(), 0x4b52102a8ccc8695ULL);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/obs/trace.h"
 #include "src/serve/autoscale_controller.h"
 #include "src/serve/query_server.h"
+#include "src/serve/query_service.h"
 #include "src/serve/request_queue.h"
 #include "src/sim/road_gen.h"
 #include "src/sim/traffic_sim.h"
@@ -332,6 +333,84 @@ struct ServeFixture {
     };
   }
 };
+
+// --- ScoreCandidates -----------------------------------------------------
+
+/// A travel-time histogram with one sample at each of `values`.
+Histogram TravelTimes(double lo, double hi, int bins,
+                      const std::vector<double>& values) {
+  Histogram h = Histogram::Create(lo, hi, bins).value();
+  for (double v : values) h.Add(v);
+  return h;
+}
+
+/// Candidates 0 and 1 as paths 0->1->3 and 0->2->3, with their costs.
+struct Scored {
+  std::vector<Path> routes;
+  std::vector<Result<Histogram>> costs;
+};
+
+Scored TwoCandidates(Histogram first, Histogram second) {
+  Scored c;
+  c.routes.resize(2);
+  c.routes[0].nodes = {0, 1, 3};
+  c.routes[1].nodes = {0, 2, 3};
+  c.costs.push_back(std::move(first));
+  c.costs.push_back(std::move(second));
+  return c;
+}
+
+RouteAnswer Score(const Scored& c, double depart, double deadline) {
+  RouteQuery q;
+  q.depart_seconds = depart;
+  q.arrival_deadline_seconds = deadline;
+  RouteAnswer answer;
+  ScoreCandidates(q, c.routes, c.costs, &answer);
+  return answer;
+}
+
+TEST(ScoreCandidatesTest, DeadlineBeforeEverySupportScoresZero) {
+  const Scored c = TwoCandidates(TravelTimes(600, 900, 3, {650, 750, 850}),
+                                 TravelTimes(700, 1000, 3, {750, 850, 950}));
+  // Departing at 10:00 with 500 s to spare: no candidate can make it,
+  // however late in the day the clock-time deadline is.
+  const double depart = 36000.0;
+  const RouteAnswer a = Score(c, depart, depart + 500.0);
+  ASSERT_TRUE(a.status.ok());
+  EXPECT_EQ(a.num_candidates, 2);
+  EXPECT_EQ(a.on_time_probability, 0.0);
+  EXPECT_EQ(a.route.nodes, c.routes[0].nodes);  // all tie at 0: lowest index
+}
+
+TEST(ScoreCandidatesTest, DeadlineAtTheMedianScoresOneHalf) {
+  const Histogram only = TravelTimes(600, 1000, 4, {650, 750, 850, 950});
+  Scored c;
+  c.routes.resize(1);
+  c.costs.push_back(only);
+  const double depart = 50000.0;
+  const RouteAnswer a = Score(c, depart, depart + only.Quantile(0.5));
+  ASSERT_TRUE(a.status.ok());
+  EXPECT_NEAR(a.on_time_probability, 0.5, 1e-12);
+}
+
+TEST(ScoreCandidatesTest, TheWinnerCanBeALaterCandidate) {
+  // Candidate 0 is faster on average but wide; candidate 1 is slower but
+  // always arrives within 1000 s.
+  const Scored c =
+      TwoCandidates(TravelTimes(400, 1200, 4, {500, 700, 900, 1100}),
+                    TravelTimes(850, 950, 1, {900}));
+  const double depart = 70000.0;
+  const RouteAnswer on_time = Score(c, depart, depart + 1000.0);
+  ASSERT_TRUE(on_time.status.ok());
+  EXPECT_EQ(on_time.route.nodes, c.routes[1].nodes);
+  EXPECT_EQ(on_time.on_time_probability, 1.0);
+  EXPECT_EQ(on_time.cost_mean_seconds, c.costs[1]->Mean());
+  // No deadline (<= 0): the lowest mean wins instead.
+  const RouteAnswer fastest = Score(c, depart, 0.0);
+  ASSERT_TRUE(fastest.status.ok());
+  EXPECT_EQ(fastest.route.nodes, c.routes[0].nodes);
+  EXPECT_EQ(fastest.on_time_probability, 0.0);
+}
 
 TEST(QueryServerTest, AnswersQueriesAndWarmsCaches) {
   ServeFixture fx;
