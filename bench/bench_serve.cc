@@ -1,11 +1,11 @@
 // E-SV — Query serving: PACE-style path-cost caching, micro-batching, and
 // admission control under an open-loop client. Three phases:
 //
-//  1. Cold vs warm: the same distinct query set is answered by a fresh
-//     server (every route enumerated, every sub-path distribution computed
-//     through the edge-centric base model) and then re-answered warm
-//     (candidate routes from the route LRU, costs from the sub-path
-//     cache). The PACE claim ([4]) is that path-centric reuse beats
+//  1. Cold vs warm: the same distinct query set is answered by a server
+//     with one-entry caches (every route enumerated, every sub-path
+//     distribution computed through the edge-centric base model) and then
+//     re-answered warm (candidate routes from the route LRU, costs from
+//     the sub-path cache), each for at least a second of repeated passes. The PACE claim ([4]) is that path-centric reuse beats
 //     per-query edge recomposition: expect warm throughput >= 5x cold.
 //
 //  2. Worker sweep: an open-loop burst at 1/2/4/8 workers, reporting
@@ -132,6 +132,23 @@ RunResult RunBurst(QueryServer* server, const Workload& w, int repeat,
   return result;
 }
 
+/// Passes of the cold and warm timing: one pass of the 128-query set lasts
+/// milliseconds, too short to time steadily.
+constexpr double kTimedSeconds = 1.0;
+
+/// RunBurst passes of the query set until at least `min_seconds` of wall
+/// time. The stats snapshot is cumulative, so only the walls are summed.
+RunResult RunForAtLeast(QueryServer* server, const Workload& w,
+                        double min_seconds) {
+  RunResult result;
+  while (result.wall < min_seconds) {
+    const double earlier = result.wall;
+    result = RunBurst(server, w, 1, 120.0);
+    result.wall += earlier;
+  }
+  return result;
+}
+
 }  // namespace
 
 int main() {
@@ -141,11 +158,14 @@ int main() {
   reporter.Info("workload", "64 OD pairs x 2 buckets, k=4, edge-centric base");
 
   // --- Phase 1: cold vs warm (the PACE claim) ---------------------------
-  // "Cold" is per-query recomposition with no reuse at all: a one-entry
+  // "Cold" is per-query recomposition with no query reuse: a one-entry
   // sub-path cache, a one-entry route LRU, and a shuffled query order so
   // not even adjacent queries share an OD pair — every query pays Yen's
   // enumeration plus full edge-convolution, the edge-centric serving
-  // baseline PACE argues against. "Warm" answers the same queries from
+  // baseline PACE argues against. What depends only on the network is
+  // still kept, as any server keeps it: the route enumerator's clamped
+  // free-flow weights and its reverse shortest-path tree per target.
+  // "Warm" answers the same queries from
   // the populated caches. (A fresh default-config server already reaches
   // ~65% hit rate *within* its first pass — overlapping sub-paths are the
   // common case — which is why the uncached baseline is the honest
@@ -170,7 +190,7 @@ int main() {
   cold_opts.route_cache_entries = 1;
   QueryServer cold_server(&w.net, w.BaseModel(), cold_opts);
   if (!cold_server.Start().ok()) return 1;
-  RunResult cold = RunBurst(&cold_server, shuffled, 2, 120.0);
+  RunResult cold = RunForAtLeast(&cold_server, shuffled, kTimedSeconds);
   cold_server.Stop();
 
   QueryServer::Options warm_opts;
@@ -181,7 +201,7 @@ int main() {
   QueryServer server(&w.net, w.BaseModel(), warm_opts);
   if (!server.Start().ok()) return 1;
   RunResult first = RunBurst(&server, shuffled, 1, 120.0);  // populate
-  RunResult warm = RunBurst(&server, shuffled, 4, 120.0);
+  RunResult warm = RunForAtLeast(&server, shuffled, kTimedSeconds);
   // The warm snapshot accumulates the populate pass; isolate the delta.
   uint64_t warm_served = (warm.stats.completed + warm.stats.failed) -
                          (first.stats.completed + first.stats.failed);
@@ -299,7 +319,8 @@ int main() {
 
   std::printf(
       "\nexpected shape: warm throughput >= 5x cold (sub-path + route reuse "
-      "replaces Yen's enumeration and per-edge convolution); the sweep's "
+      "replaces Yen's enumeration and per-edge convolution; cold keeps only "
+      "the network's enumerator state); the sweep's "
       "answered-request p95 stays in the milliseconds at every worker "
       "count; under 2x overload the shed rate is positive while the "
       "answered-request p95 stays bounded by the queue, not the backlog.\n");

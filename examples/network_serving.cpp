@@ -179,7 +179,7 @@ int main() {
   if (NetClient::HttpPost("127.0.0.1", port, "/query", "application/json",
                           "{\"source\": 0, \"target\": 35, \"k\": 3, "
                           "\"depart_seconds\": 28800, "
-                          "\"deadline_seconds\": 30300}",
+                          "\"arrival_deadline_seconds\": 30300}",
                           &resp).ok()) {
     std::printf("\nPOST /query -> %d\n  %s\n", resp.status_code,
                 resp.body.c_str());

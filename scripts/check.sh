@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrency layer plus the bench regression gate.
 # Sanitizer runs build the executor, fault-injection, streaming, ingest/WAL,
-# trace, routing and histogram cost-kernel tests under ThreadSanitizer,
+# trace, routing (route enumerator, stochastic router, departure planner)
+# and histogram cost-kernel tests under ThreadSanitizer,
 # AddressSanitizer and UndefinedBehaviorSanitizer and fail on any report
 # (multi-producer StreamBuffer ingestion and the trace ring are exactly
 # where TSan earns its keep; the convolution kernel's raw bin indexing and
@@ -34,7 +35,7 @@ GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              load_test flight_recorder_test debug_endpoint_test
              spatial_test k_shortest_paths_test histogram_test
              property_test path_cost_cache_test uncertainty_test
-             cost_kernel_test)
+             cost_kernel_test routing_decision_test extensions_test)
 
 for SAN in "${SANITIZERS[@]}"; do
   case "$SAN" in
@@ -52,9 +53,10 @@ for SAN in "${SANITIZERS[@]}"; do
     "$BUILD/tests/$TEST"
   done
   if [[ "$SAN" == thread ]]; then
-    # The serving core's workers, queue and autoscale review race by design;
-    # one clean run can hide a race, so TSan gets three more of each.
-    for TEST in serve_test serve_trace_test load_test; do
+    # The serving core's workers, queue and autoscale review race by design,
+    # and threads share one route enumerator's tree cache; one clean run
+    # can hide a race, so TSan gets three more of each.
+    for TEST in serve_test serve_trace_test load_test k_shortest_paths_test; do
       echo "---- $SAN: $TEST x3 ----"
       "$BUILD/tests/$TEST" --gtest_repeat=3
     done

@@ -37,7 +37,7 @@ Status CheckQuery(const RoadNetwork& network, int source, int target,
   return CheckNodes(network, source, target, "KShortestPaths");
 }
 
-/// Edge costs clamped to >= 0, read once per search kernel's weights.
+/// Edge costs clamped to >= 0: the weights a SearchKernel borrows.
 std::vector<double> ClampedWeights(const RoadNetwork& network,
                                    const EdgeCostFn& cost) {
   std::vector<double> weight(network.NumEdges());

@@ -113,7 +113,7 @@ class RouteEnumerator {
     uint64_t enumerations = 0;  ///< calls that reached the tree lookup
     uint64_t tree_hits = 0;     ///< of those, calls whose tree was cached
     size_t trees = 0;           ///< trees resident now
-    size_t capacity = 0;        ///< most trees ever resident at once
+    size_t capacity = 0;        ///< most trees the byte budget admits
   };
   Stats stats() const;
 
